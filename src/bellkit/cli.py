@@ -16,41 +16,17 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import CapacityError, ValidationError
-from .spin import SpinQuantum, UnitVector
-from .states import (
-    angular_momentum_eigenstate,
-    dicke,
-    ghz,
-    maximally_entangled,
-    relative_phase,
-    rm_weighted,
-    separable_mixture,
-    singlet,
-    werner,
+from .errors import CapacityError, DegenerateConditionError, UnknownNameError, ValidationError
+from .functionals import generalized_chsh_functional
+from .lhv import enumerate_lhv_bound, symmetric_lhv_min, two_setting_spin_scenario
+from .registry import (
+    ANY, BOOL, FLOAT, GRID, INT, OBJECT, STR, Opt, build_state, family, lookup, record,
+    require_state, state_args,
 )
-from .functionals import (
-    cfrd_margin,
-    cfrd_quadrature_margin,
-    cglmp_I,
-    cglmp_functional,
-    chsh_value,
-    drummond_margin,
-    generalized_chsh_functional,
-    mabk_value,
-    mermin_check,
-    reid_ratio,
-    tura_value,
-)
-from .lhv import cglmp_scenario, enumerate_lhv_bound, symmetric_lhv_min, two_setting_spin_scenario
 from .search import (
-    ScanSpec,
-    SearchConfig,
-    mermin_coplanar_vectors,
-    optimize_settings,
-    optimize_weights_cfrd,
-    scan_parameter,
+    ScanSpec, SearchConfig, optimize_settings, optimize_weights_cfrd, scan_parameter,
 )
+from .spin import UnitVector
 
 EXIT_OK = 0
 EXIT_BAD_SPEC = 2
@@ -58,188 +34,76 @@ EXIT_UNKNOWN_NAME = 3
 EXIT_CAPACITY = 4
 EXIT_UNWRITABLE = 5
 
-
-class SpecError(Exception):
-    """Structurally invalid run spec (exit 2)."""
-
-
-class UnknownNameError(Exception):
-    """Unknown state family or functional name (exit 3)."""
-
-
-_STATE_FAMILIES = ("maximally_entangled", "relative_phase", "werner",
-                   "angular_momentum_eigenstate", "singlet", "rm_weighted",
-                   "ghz", "dicke", "separable_mixture")
+_SPEC = record({
+    "functional": record({"name": STR, "params": Opt(OBJECT)}),
+    "state": Opt(record({"family": STR, "params": Opt(OBJECT)})),
+    "settings": Opt(ANY),
+    "search": Opt(record(dict(seed=Opt(INT), restarts=Opt(INT), max_evals_per_restart=Opt(INT),
+                              tolerance=Opt(FLOAT), initial_step=Opt(FLOAT), coplanar=Opt(BOOL)))),
+    "scan": Opt(record({"parameter": STR, "grid": GRID})),
+})
 
 
-def build_state(family: str, params: dict):
-    """Construct a catalog state from its family name and parameters."""
+def _load(path: str) -> dict:
     try:
-        if family == "maximally_entangled":
-            return maximally_entangled(int(params["n"]))
-        if family == "relative_phase":
-            return relative_phase(int(params["n"]), float(params["theta"]))
-        if family == "werner":
-            return werner(int(params["n"]), float(params["phi"]))
-        if family == "angular_momentum_eigenstate":
-            return angular_momentum_eigenstate(int(params["n_a"]), int(params["n_b"]),
-                                               float(params["j"]), float(params["k"]))
-        if family == "singlet":
-            return singlet(int(params["two_s"]))
-        if family == "rm_weighted":
-            return rm_weighted(SpinQuantum(int(params["two_s"])), params["r"])
-        if family == "ghz":
-            return ghz(int(params["n"]))
-        if family == "dicke":
-            return dicke(int(params["n"]), int(params["k"]))
-        if family == "separable_mixture":
-            comps = [(c["weight"], np.array(c["rho_a"]), np.array(c["rho_b"]))
-                     for c in params["components"]]
-            return separable_mixture(comps)
-    except KeyError as exc:
-        raise SpecError(f"family {family!r} is missing parameter {exc}") from exc
-    raise UnknownNameError(f"unknown state family {family!r}")
+        with open(path, encoding="utf-8") as fh:
+            spec = json.load(fh)
+    # json reports bad syntax, bad UTF-8 and over-long integers as
+    # ValueError, and nesting deeper than the stack as RecursionError
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ValidationError(f"cannot read the spec: {exc}") from exc
+    if not isinstance(spec, dict):
+        raise ValidationError("spec must be a JSON object")
+    return spec
 
 
-def _unit(v) -> UnitVector:
-    return UnitVector.from_xyz(*[float(x) for x in v])
+def _check(command: str, spec: dict, seed: int | None = None):
+    """Check the whole spec against the registry before anything is
+    built, names first (exit 3), then shapes and types, then the
+    functional against the state's class (exit 2); return the
+    computation.  `seed` overrides the search seed, in the echoed spec
+    too."""
+    func, state = spec.get("functional"), spec.get("state")
+    name = func.get("name") if isinstance(func, dict) else None
+    entry = lookup(name, command) if isinstance(name, str) else None
+    if isinstance(state, dict) and isinstance(state.get("family"), str):
+        family(state["family"])
+    top = _SPEC(spec, "spec")  # a string name was looked up above
+    params = entry.params(func.get("params", {}), "spec.functional.params")
+    if seed is not None:
+        spec.setdefault("search", {})["seed"] = seed
+        top.setdefault("search", {})["seed"] = seed
+    search, settings, state = top.get("search", {}), top.get("settings"), top.get("state")
+    config = SearchConfig(**search) if "seed" in search else None
+    if command == "evaluate":
+        settings = entry.settings({} if settings is None else settings, "spec.settings")
+    if command != "scan" and state is not None:
+        state_args(state["family"], state.get("params", {}))
+    if command == "lhv-bound":
+        return lambda: entry.lhv_bound(params)
+    if entry.state is not None:
+        if state is None:
+            raise ValidationError(f"{command} of {name!r} needs a state")
+        require_state(name, entry, family(state["family"]).kind)
 
+    def build():
+        return build_state(state["family"], state.get("params", {}))
 
-def _evaluate(spec: dict):
-    func = spec.get("functional", {})
-    name = func.get("name")
-    params = func.get("params", {})
-    settings = spec.get("settings", {})
-
-    if name == "drummond":
-        margin = drummond_margin(int(params["J"]), float(params["theta"]))
-        return {"functional": "drummond", "value": margin, "bound": 0.0,
-                "margin": margin, "violation": margin > 1e-9,
-                "state": {"family": "drummond_limit", "J": int(params["J"]),
-                          "theta": float(params["theta"])}}
-    if name == "mabk":
-        return mabk_value(int(params["n"])).to_dict()
-    if name == "cglmp_I":
-        value = cglmp_I(params["tables"], int(params["d"]))
-        return {"functional": "cglmp_I", "value": value,
-                "claimed_lhvt_bound": 3.0, "hvt_bound": 4.0}
-
-    state_spec = spec.get("state")
-    if not state_spec:
-        raise SpecError("evaluate needs a state for this functional")
-    state = build_state(state_spec.get("family"), state_spec.get("params", {}))
-
-    if name == "chsh":
-        vs = [_unit(settings[k]) for k in ("u1", "u2", "v1", "v2")]
-        return chsh_value(state, *vs).to_dict()
-    if name == "mermin":
-        if "theta" in settings:
-            a, b, c = mermin_coplanar_vectors(float(settings["theta"]))
-        else:
-            a, b, c = (_unit(settings[k]) for k in ("a", "b", "c"))
-        kw = {"reading": settings["reading"]} if "reading" in settings else {}
-        return mermin_check(state, a, b, c, **kw).to_dict()
-    if name == "reid":
-        return reid_ratio(state, float(settings["theta"]), float(settings["theta_star"]),
-                          float(settings["phi"]), float(settings["phi_star"])).to_dict()
-    if name == "tura":
-        return tura_value(state, _unit(settings["n0"]), _unit(settings["n1"])).to_dict()
-    if name == "cfrd":
-        from .states import spin_correlation_matrix  # noqa: F401  (observable default below)
-        from .spin import build_spin_rep
-        rep_a = build_spin_rep(state.s_a)
-        rep_b = build_spin_rep(state.s_b)
-        return cfrd_margin(state, rep_a.sx, rep_a.sy, rep_b.sx, rep_b.sy).to_dict()
-    if name == "cfrd_quadrature":
-        value = cfrd_quadrature_margin(state)
-        return {"functional": "cfrd_quadrature", "value": value, "bound": 0.0,
-                "margin": value, "violation": False, "state": dict(state.meta)}
-    raise UnknownNameError(f"unknown functional {name!r}")
-
-
-def _search_config(spec: dict) -> SearchConfig:
-    search = spec.get("search", {})
-    if "seed" not in search:
-        raise SpecError("optimize specs must carry an explicit seed")
-    return SearchConfig(
-        seed=int(search["seed"]),
-        restarts=int(search.get("restarts", 32)),
-        max_evals_per_restart=int(search.get("max_evals_per_restart", 2000)),
-        tolerance=float(search.get("tolerance", 1e-8)),
-        initial_step=float(search.get("initial_step", 0.5)),
-        coplanar=bool(search.get("coplanar", False)),
-    )
-
-
-def _optimize(spec: dict):
-    name = spec.get("functional", {}).get("name")
-    params = spec.get("functional", {}).get("params", {})
-    config = _search_config(spec)
-    if name == "cfrd_weights":
-        return optimize_weights_cfrd(SpinQuantum(int(params["two_s"])), config).to_dict()
-    if name not in ("chsh", "mermin", "reid", "tura"):
-        raise UnknownNameError(f"no optimizer for functional {name!r}")
-    state_spec = spec.get("state")
-    if not state_spec:
-        raise SpecError("optimize needs a state")
-    state = build_state(state_spec.get("family"), state_spec.get("params", {}))
-    return optimize_settings(state, name, config).to_dict()
-
-
-def _lhv_bound(spec: dict):
-    func = spec.get("functional", {})
-    name = func.get("name")
-    params = func.get("params", {})
-    if name in ("chsh", "generalized_chsh"):
-        two_a = int(params.get("two_s_a", 1))
-        two_b = int(params.get("two_s_b", 1))
-        scenario = two_setting_spin_scenario(two_a, two_b)
-        functional = generalized_chsh_functional(two_a, two_b)
-        bound, witness = enumerate_lhv_bound(scenario, functional, "max")
-        return {"functional": functional.name, "enumerated_bound": bound,
-                "stated_bound": 0.5 * two_a * two_b,
-                "witness": {"a": list(witness.outcomes_a), "b": list(witness.outcomes_b)}}
-    if name == "cglmp":
-        d = int(params["d"])
-        bound, witness = enumerate_lhv_bound(cglmp_scenario(d), cglmp_functional(d), "max")
-        return {"functional": f"cglmp_d{d}", "enumerated_bound": bound,
-                "claimed_lhvt_bound": 3.0, "hvt_bound": 4.0,
-                "agrees_with_claimed_lhvt_bound": abs(bound - 3.0) <= 1e-9,
-                "satisfies_hvt_bound": bound <= 4.0 + 1e-9,
-                "witness": {"a": list(witness.outcomes_a), "b": list(witness.outcomes_b)}}
-    if name == "tura_symmetric":
-        n = int(params["n"])
-        wmin, counts = symmetric_lhv_min(n)
-        return {"functional": "tura", "n_atoms": n, "enumerated_min": wmin,
-                "stated_bound": 0.0, "witness_counts": list(counts)}
-    raise UnknownNameError(f"no LHV enumeration preset for {name!r}")
-
-
-def _scan(spec: dict):
-    scan = spec.get("scan", {})
-    grid_def = scan.get("grid")
-    if isinstance(grid_def, dict):
-        grid = np.linspace(float(grid_def["start"]), float(grid_def["stop"]),
-                           int(grid_def["count"]))
-    else:
-        grid = np.asarray(grid_def, dtype=float)
-    search = None
-    if spec.get("settings") == "optimize":
-        search = _search_config(spec)
-    state_spec = spec.get("state", {})
-    family = state_spec.get("family")
-    if family not in _STATE_FAMILIES:
-        raise UnknownNameError(f"unknown state family {family!r}")
-    sspec = ScanSpec(
-        parameter=scan.get("parameter"),
-        grid=tuple(grid),
-        functional=spec.get("functional", {}).get("name"),
-        state_family=family,
-        state_params=state_spec.get("params", {}),
-        settings=spec.get("settings"),
-        search=search,
-    )
-    return scan_parameter(sspec)
+    if command == "evaluate":
+        return lambda: entry.evaluate(build() if entry.state else None, settings, params)
+    if command == "scan":
+        if "scan" not in top:
+            raise ValidationError("scan specs need a scan block")
+        return lambda: scan_parameter(ScanSpec(
+            parameter=top["scan"]["parameter"], grid=top["scan"]["grid"], functional=name,
+            state_family=state["family"], state_params=state.get("params", {}),
+            settings=settings, search=config))
+    if config is None:
+        raise ValidationError("optimize specs must carry an explicit seed")
+    if entry.state is None:
+        spin = entry.optimize(params)
+        return lambda: optimize_weights_cfrd(spin, config).to_dict()
+    return lambda: optimize_settings(build(), name, config).to_dict()
 
 
 def selftest() -> bool:
@@ -326,7 +190,7 @@ def emit_report(envelope: dict, path: str | None, fmt: str = "json"):
             lines.append(",".join(cells))
         text = "\n".join(lines) + "\n"
     else:
-        raise SpecError(f"unknown format {fmt!r}")
+        raise ValidationError(f"unknown format {fmt!r}")
     if path is None:
         sys.stdout.write(text)
         return
@@ -373,32 +237,20 @@ def run(argv=None) -> int:
         print("error: --spec is required", file=sys.stderr)
         return EXIT_BAD_SPEC
     try:
-        with open(args.spec, encoding="utf-8") as fh:
-            spec = json.load(fh)
-        if not isinstance(spec, dict):
-            raise SpecError("spec must be a JSON object")
-        if args.seed is not None:
-            spec.setdefault("search", {})["seed"] = args.seed
+        if args.format == "csv" and args.command != "scan":
+            raise ValidationError("csv output needs a scan table")
+        spec = _load(args.spec)
+        compute = _check(args.command, spec, args.seed)
         t0 = time.perf_counter()
-        if args.command == "evaluate":
-            payload = _evaluate(spec)
-        elif args.command == "optimize":
-            payload = _optimize(spec)
-        elif args.command == "lhv-bound":
-            payload = _lhv_bound(spec)
-        else:
-            payload = _scan(spec)
+        payload = compute()
         wall = time.perf_counter() - t0
-    except (json.JSONDecodeError, OSError, SpecError, KeyError, TypeError) as exc:
-        print(f"error: malformed spec: {exc}", file=sys.stderr)
-        return EXIT_BAD_SPEC
     except UnknownNameError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN_NAME
     except CapacityError as exc:
         print(f"error: capacity exceeded: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except ValidationError as exc:
+    except (ValidationError, DegenerateConditionError) as exc:
         print(f"error: malformed spec: {exc}", file=sys.stderr)
         return EXIT_BAD_SPEC
 

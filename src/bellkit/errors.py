@@ -9,6 +9,11 @@ class ValidationError(BellKitError, ValueError):
     """Malformed or inconsistent input."""
 
 
+class UnknownNameError(ValidationError):
+    """Unknown state family or functional name, or a functional that a
+    subcommand does not offer."""
+
+
 class CapacityError(BellKitError):
     """Requested problem size exceeds a configured cap."""
 

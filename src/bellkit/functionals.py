@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import CapacityError, DegenerateConditionError, ValidationError
 from .spin import (
-    HermitianObservable,
     SpinQuantum,
     UnitVector,
     build_spin_rep,
@@ -25,14 +24,13 @@ from .spin import (
 from .states import (
     BipartiteState,
     MeasurementSetting,
-    MultiQubitState,
     SymmetricState,
+    as_matrix,
     binned_joint_probability,
     correlator,
     expect_product,
     expect_side,
     joint_distribution,
-    marginal_probability,
 )
 
 VIOLATION_TOL = 1e-9
@@ -60,45 +58,20 @@ class PairEventTerm:
 
 
 @dataclass(frozen=True)
-class SingleMeanTerm:
-    """coef * <outcome(setting i)> on one side."""
-    coef: float
-    side: str
-    setting: int
-
-
-@dataclass(frozen=True)
 class BellFunctional:
-    """Linear combination of correlators / event probabilities / single
-    means, with its classical bound rule."""
+    """Linear combination of correlators and event probabilities."""
 
     name: str
     settings_a: int
     settings_b: int
     terms: tuple
-    bound_rule: str = "constant"  # "constant" | "half_product_of_numbers"
-    bound_value: float | None = None
 
     def __post_init__(self):
         for t in self.terms:
-            if isinstance(t, (CorrelatorTerm, PairEventTerm)):
-                if not (0 <= t.setting_a < self.settings_a and 0 <= t.setting_b < self.settings_b):
-                    raise ValidationError(f"term {t} references an unknown setting")
-            elif isinstance(t, SingleMeanTerm):
-                count = self.settings_a if t.side == "A" else self.settings_b
-                if not 0 <= t.setting < count:
-                    raise ValidationError(f"term {t} references an unknown setting")
-            else:
+            if not isinstance(t, (CorrelatorTerm, PairEventTerm)):
                 raise ValidationError(f"unknown term type {t!r}")
-
-    def classical_bound(self, n_a: float | None = None, n_b: float | None = None) -> float:
-        if self.bound_rule == "half_product_of_numbers":
-            if n_a is None or n_b is None:
-                raise ValidationError("bound needs <N_A>, <N_B>")
-            return 0.5 * n_a * n_b
-        if self.bound_value is None:
-            raise ValidationError(f"functional {self.name} has no constant bound")
-        return self.bound_value
+            if not (0 <= t.setting_a < self.settings_a and 0 <= t.setting_b < self.settings_b):
+                raise ValidationError(f"term {t} references an unknown setting")
 
 
 def chsh_functional() -> BellFunctional:
@@ -117,9 +90,7 @@ def generalized_chsh_functional(two_s_a: int, two_s_b: int) -> BellFunctional:
     )
     return BellFunctional(
         name="generalized_chsh" if (two_s_a, two_s_b) != (1, 1) else "chsh",
-        settings_a=2, settings_b=2, terms=terms,
-        bound_rule="half_product_of_numbers",
-    )
+        settings_a=2, settings_b=2, terms=terms)
 
 
 def cglmp_functional(d: int) -> BellFunctional:
@@ -134,8 +105,7 @@ def cglmp_functional(d: int) -> BellFunctional:
         PairEventTerm(1.0, 1, 0, eq),        # P(A2 = B1)
         PairEventTerm(1.0, 0, 1, eq),        # P(B2 = A1)
     )
-    return BellFunctional(name=f"cglmp_d{d}", settings_a=2, settings_b=2,
-                          terms=terms, bound_rule="constant", bound_value=3.0)
+    return BellFunctional(name=f"cglmp_d{d}", settings_a=2, settings_b=2, terms=terms)
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +233,16 @@ def mermin_check(state: BipartiteState, a: UnitVector, b: UnitVector, c: UnitVec
         extra={"reading": reading, "lhs": lhs, "rhs": rhs})
 
 
+def mermin_coplanar_vectors(theta: float):
+    """a, b at angle pi/2 + theta from c = z (and pi - 2 theta from
+    each other), all in the x-z plane."""
+    polar = math.pi / 2 + theta
+    a = UnitVector(math.sin(polar), 0.0, math.cos(polar))
+    b = UnitVector(-math.sin(polar), 0.0, math.cos(polar))
+    c = UnitVector(0.0, 0.0, 1.0)
+    return a, b, c
+
+
 def drummond_margin(j_bosons: int, theta: float) -> float:
     """Large-J two-mode condition 3 g(theta) - g(3 theta) - 2 with
     g(theta) = exp(-J theta^2 / 2); positive means violation."""
@@ -272,17 +252,14 @@ def drummond_margin(j_bosons: int, theta: float) -> float:
     return 3.0 * g(theta) - g(3.0 * theta) - 2.0
 
 
-def _apply_site_raising(amplitudes: np.ndarray, n: int, lowering: bool = False) -> complex:
-    """<psi| tensor_i (sigma_x +- i sigma_y) |psi> without materializing
+def _apply_site_raising(amplitudes: np.ndarray, n: int) -> complex:
+    """<psi| tensor_i (sigma_x + i sigma_y) |psi> without materializing
     the 2^n x 2^n operator.  sigma_x + i sigma_y maps |down> -> 2 |up>."""
     vec = amplitudes.copy()
     for site in range(n):
         t = vec.reshape((2 ** site, 2, -1))
         out = np.zeros_like(t)
-        if lowering:
-            out[:, 1, :] = 2.0 * t[:, 0, :]   # |up> -> 2 |down>
-        else:
-            out[:, 0, :] = 2.0 * t[:, 1, :]   # |down> -> 2 |up>
+        out[:, 0, :] = 2.0 * t[:, 1, :]   # |down> -> 2 |up>
         vec = out.reshape(-1)
     return complex(np.vdot(amplitudes, vec))
 
@@ -311,6 +288,8 @@ def mabk_value(n: int) -> ViolationReport:
 
 def _reid_direction(angle: float) -> UnitVector:
     """S_z cos(2 angle) + S_x sin(2 angle) as a unit direction."""
+    if not math.isfinite(2 * angle):
+        raise ValidationError(f"angle {angle} is out of range")
     return UnitVector(math.sin(2 * angle), 0.0, math.cos(2 * angle))
 
 
@@ -354,10 +333,7 @@ def cfrd_margin(state: BipartiteState, obs_a1, obs_a2, obs_b1, obs_b2) -> Violat
 
     value = LHS - RHS; margin = value, < 0 means violation.
     """
-    a1 = obs_a1.matrix if isinstance(obs_a1, HermitianObservable) else np.asarray(obs_a1)
-    a2 = obs_a2.matrix if isinstance(obs_a2, HermitianObservable) else np.asarray(obs_a2)
-    b1 = obs_b1.matrix if isinstance(obs_b1, HermitianObservable) else np.asarray(obs_b1)
-    b2 = obs_b2.matrix if isinstance(obs_b2, HermitianObservable) else np.asarray(obs_b2)
+    a1, a2, b1, b2 = (as_matrix(o) for o in (obs_a1, obs_a2, obs_b1, obs_b2))
     lhs = expect_product(state, a1 @ a1 + a2 @ a2, b1 @ b1 + b2 @ b2)
     re_part = expect_product(state, a1, b1) + expect_product(state, a2, b2)
     im_part = expect_product(state, a2, b1) - expect_product(state, a1, b2)

@@ -14,12 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DegenerateConditionError, ValidationError
-from .functionals import (
-    BellFunctional,
-    CorrelatorTerm,
-    PairEventTerm,
-    SingleMeanTerm,
-)
+from .functionals import BellFunctional, CorrelatorTerm, PairEventTerm
 
 ENUM_CAP = 10 ** 8
 _CHUNK = 4096
@@ -46,14 +41,23 @@ class Scenario:
         return len(self.outcomes_b)
 
 
+def check_enum_cap(strategies: int):
+    """Refuse an enumeration over more than ENUM_CAP strategy pairs."""
+    if strategies > ENUM_CAP:
+        raise CapacityError(f"{strategies} strategies exceed the {ENUM_CAP} cap")
+
+
 def two_setting_spin_scenario(two_s_a: int, two_s_b: int) -> Scenario:
     """Two spin-component settings per side, outcomes -s..+s."""
+    for two_s in (two_s_a, two_s_b):  # a side too large to enumerate, before its tuples
+        check_enum_cap(max(two_s + 1, 0) ** 2)
     out_a = tuple((two_s_a / 2.0) - k for k in range(two_s_a + 1))
     out_b = tuple((two_s_b / 2.0) - k for k in range(two_s_b + 1))
     return Scenario(outcomes_a=(out_a, out_a), outcomes_b=(out_b, out_b))
 
 
 def cglmp_scenario(d: int) -> Scenario:
+    check_enum_cap(max(d, 0) ** 2)  # a side too large to enumerate, before its tuples
     out = tuple(range(d))
     return Scenario(outcomes_a=(out, out), outcomes_b=(out, out))
 
@@ -149,8 +153,6 @@ def lhv_model_eval(model: LhvModel, query: str, **kw) -> float:
 
 def functional_model_value(model: LhvModel, functional: BellFunctional) -> float:
     """Value of a Bell functional under a stochastic LHV model."""
-    sc = model.scenario
-    w = np.asarray(model.weights, dtype=float)
     total = 0.0
     for term in functional.terms:
         if isinstance(term, CorrelatorTerm):
@@ -163,12 +165,6 @@ def functional_model_value(model: LhvModel, functional: BellFunctional) -> float
                 acc += lhv_model_eval(model, "joint", setting_a=term.setting_a,
                                       setting_b=term.setting_b, alpha=alpha, beta=beta)
             total += term.coef * acc
-        elif isinstance(term, SingleMeanTerm):
-            resp = model.response_a if term.side == "A" else model.response_b
-            outs = (sc.outcomes_a if term.side == "A" else sc.outcomes_b)[term.setting]
-            va = np.asarray(outs, dtype=float)
-            m = np.array([np.dot(resp[l][term.setting], va) for l in range(model.n_lambda)])
-            total += term.coef * float(np.sum(w * m))
     return total
 
 
@@ -186,12 +182,6 @@ def _term_matrix(term, strat_a: np.ndarray, strat_b: np.ndarray) -> np.ndarray:
             mask |= ((np.abs(strat_a[:, term.setting_a] - alpha) < 1e-9)[:, None]
                      & (np.abs(strat_b[:, term.setting_b] - beta) < 1e-9)[None, :])
         return term.coef * mask.astype(float)
-    if isinstance(term, SingleMeanTerm):
-        if term.side == "A":
-            return term.coef * np.broadcast_to(strat_a[:, term.setting][:, None],
-                                               (len(strat_a), len(strat_b)))
-        return term.coef * np.broadcast_to(strat_b[:, term.setting][None, :],
-                                           (len(strat_a), len(strat_b)))
     raise ValidationError(f"unknown term type {term!r}")
 
 
@@ -208,8 +198,7 @@ def enumerate_lhv_bound(scenario: Scenario, functional: BellFunctional,
         raise ValidationError("functional and scenario setting counts differ")
     n_a = int(np.prod([len(o) for o in scenario.outcomes_a]))
     n_b = int(np.prod([len(o) for o in scenario.outcomes_b]))
-    if n_a * n_b > ENUM_CAP:
-        raise CapacityError(f"{n_a * n_b} strategies exceed the {ENUM_CAP} cap")
+    check_enum_cap(n_a * n_b)
     strat_a = _strategies(scenario.outcomes_a)
     strat_b = _strategies(scenario.outcomes_b)
     best_val = None
@@ -235,29 +224,38 @@ def enumerate_lhv_bound(scenario: Scenario, functional: BellFunctional,
 def symmetric_lhv_min(n_atoms: int):
     """Minimum of W = 2P + PQ - R + N + (P^2 + Q^2)/2 over deterministic
     strategies where each atom picks (a0, a1) in {+-1}^2; P = sum a0,
-    Q = sum a1, R = sum a0*a1.  Enumerates the O(N^3) compositions of N
-    into the four per-atom type counts; returns (min W, witness counts
-    (n++, n+-, n-+, n--))."""
+    Q = sum a1, R = sum a0*a1.  Returns (min W, witness counts
+    (n++, n+-, n-+, n--)), the witness being the lexicographically
+    smallest composition of N that attains the minimum.
+
+    The search runs over (P, Q) in O(N^2), not over the O(N^3)
+    compositions.  Proof: the type counts are n++ = (N+P+Q+R)/4,
+    n+- = (N+P-Q-R)/4, n-+ = (N-P+Q-R)/4 and n-- = (N-P-Q+R)/4, so
+    n+- >= 0 and n-+ >= 0 give R <= N - |P - Q|.  That R is reached by
+    n++ = (N + min(P, Q))/2, n+- = max(P - Q, 0)/2, n-+ = max(Q - P, 0)/2
+    and n-- = (N - max(P, Q))/2, non-negative integers whenever
+    P = Q = N (mod 2) and |P|, |Q| <= N.  W falls as R grows, so its
+    minimum is the minimum over those (P, Q) of
+    W(P, Q) = 2P + PQ + |P - Q| + (P^2 + Q^2)/2, and every minimizing
+    composition is the one above for its (P, Q).
+    """
     if n_atoms < 1:
         raise ValidationError("N must be >= 1")
     if n_atoms > 10 ** 4:
         raise CapacityError("N exceeds the 1e4 cap")
-    best = None
-    witness = None
     n = n_atoms
-    for n1 in range(n + 1):
-        for n2 in range(n - n1 + 1):
-            n3 = np.arange(n - n1 - n2 + 1)
-            n4 = n - n1 - n2 - n3
-            p = n1 + n2 - n3 - n4
-            q = n1 - n2 + n3 - n4
-            r = n1 - n2 - n3 + n4
-            w = 2.0 * p + p * q - r + n + 0.5 * (p ** 2 + q ** 2)
-            k = int(np.argmin(w))
-            if best is None or w[k] < best:
-                best = float(w[k])
-                witness = (n1, n2, int(n3[k]), int(n4[k]))
-    return best, witness
+    q = np.arange(-n, n + 1, 2)
+    best, ties = None, []
+    for p in range(-n, n + 1, 2):
+        w = 2 * p + p * q + np.abs(p - q) + (p * p + q * q) // 2
+        low = int(w.min())
+        if best is None or low < best:
+            best, ties = low, []
+        if low == best:
+            ties += [(p, int(x)) for x in q[w == low]]
+    witness = min(((n + min(p, x)) // 2, max(p - x, 0) // 2, max(x - p, 0) // 2,
+                   (n - max(p, x)) // 2) for p, x in ties)
+    return float(best), witness
 
 
 def symmetric_lhv_min_bruteforce(n_atoms: int):

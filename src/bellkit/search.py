@@ -11,27 +11,16 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
-from .spin import SpinQuantum, UnitVector, build_spin_rep
-from .states import (
-    BipartiteState,
-    SymmetricState,
-    rm_weighted,
-    spin_correlation_matrix,
-)
-from .functionals import (
-    ViolationReport,
-    VIOLATION_TOL,
-    cfrd_margin,
-    chsh_value,
-    mermin_check,
-    reid_ratio,
-    tura_value,
-)
+from .errors import CapacityError, ValidationError
+from .functionals import ViolationReport, cfrd_margin
+from .functionals import mermin_coplanar_vectors  # noqa: F401  (public here)
+from .registry import OBJECT, build_state, family, lookup, require_state, state_args
+from .spin import SpinQuantum, build_spin_rep
+from .states import BipartiteState
 
 
 @dataclass(frozen=True)
@@ -47,6 +36,8 @@ class SearchConfig:
     coplanar: bool = False
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
         if self.restarts < 1:
             raise ValidationError("restarts must be >= 1")
         if self.tolerance <= 0:
@@ -95,93 +86,26 @@ def multi_start_max(objective, ranges, config: SearchConfig):
     return best_x, best_f
 
 
-def _unit_from_params(params, coplanar: bool):
-    """Decode one unit vector from one (coplanar) or two angles."""
-    if coplanar:
-        (alpha,) = params
-        return UnitVector(math.sin(alpha), 0.0, math.cos(alpha))
-    theta, phi = params
-    return UnitVector.from_angles(theta, phi)
-
-
-def _vectors_from_x(x, count, coplanar):
-    per = 1 if coplanar else 2
-    return [_unit_from_params(x[i * per:(i + 1) * per], coplanar) for i in range(count)]
-
-
-def _angle_ranges(count, coplanar):
-    if coplanar:
-        return [(0.0, 2 * math.pi)] * count
-    return [(0.0, math.pi), (0.0, 2 * math.pi)] * count
-
-
-def optimize_settings(state, functional: str, config: SearchConfig) -> ViolationReport:
-    """Search measurement settings maximizing the violation of the named
-    functional ("chsh", "mermin", "reid", "tura") on the given state.
-    Non-violation (non-positive best margin) is a valid result."""
+def maximize(problem, config: SearchConfig) -> ViolationReport:
+    """Run a registry search problem (ranges, objective, report at the
+    optimum) and stamp its report with the seed and the wall time."""
     t0 = time.perf_counter()
-    if functional == "chsh":
-        report = _optimize_chsh(state, config)
-    elif functional == "mermin":
-        report = _optimize_mermin(state, config)
-    elif functional == "reid":
-        report = _optimize_reid(state, config)
-    elif functional == "tura":
-        report = _optimize_tura(state, config)
-    else:
-        raise ValidationError(f"no settings search for functional {functional!r}")
+    ranges, objective, report_at = problem
+    x, _ = multi_start_max(objective, ranges, config)
+    report = report_at(x)
     report.seed = config.seed
     report.wall_time_s = time.perf_counter() - t0
     return report
 
 
-def _optimize_chsh(state: BipartiteState, config: SearchConfig) -> ViolationReport:
-    # correlators are bilinear in the directions, so precompute the 3x3
-    # spin correlation matrix once and evaluate S as u^T T v sums
-    t = spin_correlation_matrix(state)
-    bound = 0.5 * state.s_a.two_s * state.s_b.two_s
-
-    def objective(x):
-        u1, u2, v1, v2 = (v.as_array() for v in _vectors_from_x(x, 4, config.coplanar))
-        s = u1 @ t @ v1 + u1 @ t @ v2 + u2 @ t @ v1 - u2 @ t @ v2
-        return abs(s) - bound
-
-    x, _ = multi_start_max(objective, _angle_ranges(4, config.coplanar), config)
-    u1, u2, v1, v2 = _vectors_from_x(x, 4, config.coplanar)
-    return chsh_value(state, u1, u2, v1, v2)
-
-
-def _optimize_mermin(state: BipartiteState, config: SearchConfig) -> ViolationReport:
-    def objective(x):
-        a, b, c = _vectors_from_x(x, 3, config.coplanar)
-        rep = mermin_check(state, a, b, c)
-        return -rep.margin  # violation when LHS - RHS < 0
-
-    x, _ = multi_start_max(objective, _angle_ranges(3, config.coplanar), config)
-    a, b, c = _vectors_from_x(x, 3, config.coplanar)
-    return mermin_check(state, a, b, c)
-
-
-def _optimize_reid(state: BipartiteState, config: SearchConfig) -> ViolationReport:
-    def objective(x):
-        try:
-            return reid_ratio(state, *x).margin
-        except Exception:
-            return -math.inf
-
-    ranges = [(0.0, math.pi)] * 4
-    x, _ = multi_start_max(objective, ranges, config)
-    return reid_ratio(state, *x)
-
-
-def _optimize_tura(state: SymmetricState, config: SearchConfig) -> ViolationReport:
-    def objective(x):
-        n0, n1 = _vectors_from_x(x, 2, config.coplanar)
-        return -tura_value(state, n0, n1).value  # violation when W < 0
-
-    x, _ = multi_start_max(objective, _angle_ranges(2, config.coplanar), config)
-    n0, n1 = _vectors_from_x(x, 2, config.coplanar)
-    return tura_value(state, n0, n1)
+def optimize_settings(state, functional: str, config: SearchConfig) -> ViolationReport:
+    """Search measurement settings maximizing the violation of the named
+    functional on the given state; the registry says which functionals
+    have a settings search.  Non-violation (non-positive best margin) is
+    a valid result."""
+    entry = lookup(functional, "optimize")
+    require_state(functional, entry, type(state))
+    return maximize(entry.optimize(state, config.coplanar), config)
 
 
 def optimize_weights_cfrd(s: SpinQuantum, config: SearchConfig) -> ViolationReport:
@@ -194,40 +118,24 @@ def optimize_weights_cfrd(s: SpinQuantum, config: SearchConfig) -> ViolationRepo
     the weights drop out of the margin altogether.
     """
     if s.two_s > 20:
-        raise ValidationError("weight search supports s <= 10")
+        raise CapacityError("weight search supports s <= 10")
     rep = build_spin_rep(s)
     d = s.dim
 
-    def state_of(r):
+    def margin_of(r):
         psi = np.zeros((d, d), dtype=complex)
         psi[np.arange(d), np.arange(d - 1, -1, -1)] = r
-        psi = psi / np.linalg.norm(psi)
-        return BipartiteState("pure", s, s, psi=psi)
+        state = BipartiteState("pure", s, s, psi=psi / np.linalg.norm(psi))
+        return cfrd_margin(state, rep.sx, rep.sy, rep.sx, rep.sy)
 
-    def margin_of(r):
-        state = state_of(r)
-        return cfrd_margin(state, rep.sx, rep.sy, rep.sx, rep.sy).margin
+    def report(x):
+        r = x / np.linalg.norm(x)
+        best = margin_of(r)
+        best.settings = [float(v) for v in r]
+        return best
 
-    def objective(x):
-        if np.linalg.norm(x) < 1e-9:
-            return -math.inf
-        return -margin_of(x)
-
-    t0 = time.perf_counter()
-    best_x, best_f = None, -math.inf
-    for k in range(config.restarts):
-        rng = np.random.default_rng([config.seed, k])
-        x0 = rng.uniform(-1.0, 1.0, size=d)
-        x, f, _ = pattern_search_max(objective, x0, config.initial_step,
-                                     config.tolerance, config.max_evals_per_restart)
-        if f > best_f:
-            best_x, best_f = x, f
-    r = best_x / np.linalg.norm(best_x)
-    report = cfrd_margin(state_of(r), rep.sx, rep.sy, rep.sx, rep.sy)
-    report.settings = [float(v) for v in r]
-    report.seed = config.seed
-    report.wall_time_s = time.perf_counter() - t0
-    return report
+    return maximize(([(-1.0, 1.0)] * d, lambda x: (
+        -math.inf if np.linalg.norm(x) < 1e-9 else -margin_of(x).margin), report), config)
 
 
 @dataclass(frozen=True)
@@ -252,46 +160,41 @@ class ScanSpec:
             raise ValidationError("grid must be strictly monotone")
 
 
-def mermin_coplanar_vectors(theta: float):
-    """a, b at angle pi/2 + theta from c = z (and pi - 2 theta from
-    each other), all in the x-z plane."""
-    polar = math.pi / 2 + theta
-    a = UnitVector(math.sin(polar), 0.0, math.cos(polar))
-    b = UnitVector(-math.sin(polar), 0.0, math.cos(polar))
-    c = UnitVector(0.0, 0.0, 1.0)
-    return a, b, c
+def _scan_point(spec: ScanSpec, entry, x):
+    """Checked (state parameters, settings) at grid point x."""
+    params = dict(spec.state_params)
+    settings = {} if spec.settings is None else spec.settings
+    geometry = entry.scan.get(spec.parameter)
+    if geometry is not None:
+        if settings == "optimize":
+            raise ValidationError(f"a {spec.parameter} scan takes no settings search")
+        settings = {**OBJECT(settings, "spec.settings"), **geometry(x)}
+    elif spec.parameter in family(spec.state_family).params:
+        params[spec.parameter] = x
+    else:
+        raise ValidationError(f"cannot scan {spec.parameter!r} of {spec.state_family!r} "
+                              f"with {spec.functional!r}")
+    state_args(spec.state_family, params)
+    if settings != "optimize":
+        settings = entry.settings(settings, "spec.settings")
+    elif spec.search is None:
+        raise ValidationError("per-point optimization needs a SearchConfig")
+    return params, settings
 
 
 def scan_parameter(spec: ScanSpec):
-    """Run the scan; returns one row dict per grid point."""
-    from .cli import build_state  # state-family registry lives with the CLI
-
+    """Run the scan; returns one row dict per grid point.  Every point
+    is checked before the first one is computed."""
+    entry = lookup(spec.functional, "scan")
+    require_state(spec.functional, entry, family(spec.state_family).kind)
+    points = [_scan_point(spec, entry, x) for x in spec.grid]
     rows = []
-    for x in spec.grid:
-        params = dict(spec.state_params)
-        if spec.parameter not in ("theta_geometry", "sin_theta_geometry"):
-            params[spec.parameter] = x
+    for x, (params, settings) in zip(spec.grid, points):
         state = build_state(spec.state_family, params)
-        if spec.functional == "mermin":
-            theta = math.asin(x) if spec.parameter == "sin_theta_geometry" else x
-            a, b, c = mermin_coplanar_vectors(theta)
-            rep = mermin_check(state, a, b, c)
-        elif spec.functional == "chsh":
-            if spec.settings == "optimize":
-                if spec.search is None:
-                    raise ValidationError("per-point optimization needs a SearchConfig")
-                rep = optimize_settings(state, "chsh", spec.search)
-            else:
-                vs = [UnitVector(*spec.settings[k]) for k in ("u1", "u2", "v1", "v2")]
-                rep = chsh_value(state, *vs)
+        if settings == "optimize":
+            rep = optimize_settings(state, spec.functional, spec.search).to_dict()
         else:
-            raise ValidationError(f"scan does not support functional {spec.functional!r}")
-        rows.append({
-            "parameter": float(x),
-            "value": rep.value,
-            "bound": rep.bound,
-            "margin": rep.margin,
-            "violation": rep.violation,
-            "settings": rep.settings,
-        })
+            rep = entry.evaluate(state, settings, {})
+        rows.append({"parameter": float(x),
+                     **{k: rep[k] for k in ("value", "bound", "margin", "violation", "settings")}})
     return rows

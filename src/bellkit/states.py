@@ -14,9 +14,9 @@ import numpy as np
 
 from .errors import CapacityError, DegenerateConditionError, ValidationError
 from .spin import (
+    DIM_CAP,
     HermitianObservable,
     SpinQuantum,
-    SpinRep,
     UnitVector,
     build_spin_rep,
     clebsch_gordan,
@@ -26,6 +26,15 @@ from .spin import (
 
 PURE_DIM_CAP = 4097
 MIXED_DIM_CAP = 4096
+
+
+def _check_dims(kind: str, d_a: int, d_b: int):
+    """Refuse a bipartite state over its dimension cap, before anything
+    of its size is allocated."""
+    if kind == "pure" and max(d_a, d_b) > PURE_DIM_CAP:
+        raise CapacityError("pure-state dimension cap exceeded")
+    if kind == "mixed" and d_a * d_b > MIXED_DIM_CAP:
+        raise CapacityError("mixed-state dimension cap exceeded")
 
 
 @dataclass(frozen=True)
@@ -64,17 +73,14 @@ class BipartiteState:
 
     def __post_init__(self):
         d_a, d_b = self.s_a.dim, self.s_b.dim
+        _check_dims(self.kind, d_a, d_b)
         if self.kind == "pure":
-            if d_a > PURE_DIM_CAP or d_b > PURE_DIM_CAP:
-                raise CapacityError("pure-state dimension cap exceeded")
             if self.psi is None or self.psi.shape != (d_a, d_b):
                 raise ValidationError("pure state needs a d_A x d_B coefficient matrix")
             norm2 = float(np.sum(np.abs(self.psi) ** 2))
             if abs(norm2 - 1.0) > 1e-10:
                 raise ValidationError(f"pure state not normalized: |psi|^2 = {norm2}")
         elif self.kind == "mixed":
-            if d_a * d_b > MIXED_DIM_CAP:
-                raise CapacityError("mixed-state dimension cap exceeded")
             if self.rho is None or self.rho.shape != (d_a * d_b, d_a * d_b):
                 raise ValidationError("mixed state needs a (d_A d_B)^2 density matrix")
             if np.max(np.abs(self.rho - self.rho.conj().T)) > 1e-10:
@@ -124,15 +130,6 @@ def expect_product(state: BipartiteState, mat_a: np.ndarray, mat_b: np.ndarray) 
     return float(np.real(val))
 
 
-def expect_product_complex(state: BipartiteState, mat_a, mat_b) -> complex:
-    """Like expect_product but keeps the imaginary part (non-Hermitian A, B)."""
-    d_a, d_b = state.dims
-    if state.kind == "pure":
-        return complex(np.trace(state.psi.conj().T @ mat_a @ state.psi @ mat_b.T))
-    r = state.rho.reshape(d_a, d_b, d_a, d_b)
-    return complex(np.einsum("ac,bd,cdab->", mat_a, mat_b, r))
-
-
 def expect_side(state: BipartiteState, mat: np.ndarray, side: str) -> float:
     """Expectation of a single-subsystem observable."""
     red = state.reduced(side)
@@ -141,7 +138,7 @@ def expect_side(state: BipartiteState, mat: np.ndarray, side: str) -> float:
     return float(np.real(np.trace(red @ mat)))
 
 
-def _as_matrix(obs) -> np.ndarray:
+def as_matrix(obs) -> np.ndarray:
     return obs.matrix if isinstance(obs, HermitianObservable) else np.asarray(obs)
 
 
@@ -154,6 +151,7 @@ def maximally_entangled(n: int) -> BipartiteState:
     if n < 1:
         raise ValidationError("n must be >= 1")
     d = n + 1
+    _check_dims("pure", d, d)
     psi = np.eye(d, dtype=complex) / np.sqrt(d)
     sq = SpinQuantum(n)
     return BipartiteState("pure", sq, sq, psi=psi,
@@ -165,6 +163,7 @@ def relative_phase(n: int, theta: float) -> BipartiteState:
     if n < 1:
         raise ValidationError("n must be >= 1")
     d = n + 1
+    _check_dims("pure", d, d)
     s = n / 2.0
     psi = np.zeros((d, d), dtype=complex)
     for i in range(d):
@@ -195,6 +194,7 @@ def werner(n: int, phi: float) -> BipartiteState:
     if n < 1:
         raise ValidationError("n must be >= 1")
     d = n + 1
+    _check_dims("mixed", d, d)
     v = flip_operator(d)
     rho = ((d - phi) * np.eye(d * d) + (d * phi - 1) * v) / (d ** 3 - d)
     sq = SpinQuantum(n)
@@ -212,6 +212,7 @@ def angular_momentum_eigenstate(n_a: int, n_b: int, j_total, k_total) -> Biparti
     if abs(k_total) > j_total + 1e-9:
         raise ValidationError("|K| exceeds J")
     d_a, d_b = n_a + 1, n_b + 1
+    _check_dims("pure", d_a, d_b)
     psi = np.zeros((d_a, d_b), dtype=complex)
     for i in range(d_a):
         ma = ja - i
@@ -237,6 +238,7 @@ def singlet(two_s: int) -> BipartiteState:
 
 def rm_weighted(s: SpinQuantum, r) -> BipartiteState:
     """sum_m r_m |s,m>_A |s,m>_B, renormalized."""
+    _check_dims("pure", s.dim, s.dim)
     r = np.asarray(r, dtype=complex)
     if r.shape != (s.dim,):
         raise ValidationError(f"weight vector must have length {s.dim}")
@@ -260,6 +262,7 @@ def separable_mixture(components) -> BipartiteState:
         raise ValidationError(f"weights sum to {weights.sum()}, expected 1")
     d_a = np.asarray(components[0][1]).shape[0]
     d_b = np.asarray(components[0][2]).shape[0]
+    _check_dims("mixed", d_a, d_b)
     rho = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
     for w, ra, rb in components:
         ra = np.asarray(ra, dtype=complex)
@@ -328,6 +331,8 @@ def dicke(n_atoms: int, k: int) -> SymmetricState:
     """Dicke state with k excitations: |J=N/2, M=k-N/2>."""
     if not 0 <= k <= n_atoms:
         raise ValidationError(f"k must be in 0..{n_atoms}")
+    if n_atoms + 1 > DIM_CAP:
+        raise CapacityError(f"collective dimension {n_atoms + 1} exceeds cap {DIM_CAP}")
     amp = np.zeros(n_atoms + 1, dtype=complex)
     amp[n_atoms - k] = 1.0  # index of M = k - N/2 in the M = N/2..-N/2 order
     return SymmetricState(n_atoms, amp)
@@ -347,7 +352,7 @@ def random_pure_state(s_a: SpinQuantum, s_b: SpinQuantum, rng) -> BipartiteState
 
 def correlator(state: BipartiteState, obs_a, obs_b) -> float:
     """<Omega_A (x) Omega_B> = Tr((A (x) B) rho)."""
-    return expect_product(state, _as_matrix(obs_a), _as_matrix(obs_b))
+    return expect_product(state, as_matrix(obs_a), as_matrix(obs_b))
 
 
 def joint_probability(state: BipartiteState, obs_a: HermitianObservable,
@@ -429,8 +434,8 @@ def uncertainty_margin(state: BipartiteState, obs_1, obs_2, side: str = "A") -> 
     """Delta(O1) Delta(O2) - |<M>|/2 with M = -i [O1, O2], both
     observables on the same subsystem.  Non-negative for every quantum
     state; an LHV model violating this breaks the uncertainty principle."""
-    m1 = _as_matrix(obs_1)
-    m2 = _as_matrix(obs_2)
+    m1 = as_matrix(obs_1)
+    m2 = as_matrix(obs_2)
     red = state.reduced(side)
     e1 = float(np.real(np.trace(red @ m1)))
     e2 = float(np.real(np.trace(red @ m2)))

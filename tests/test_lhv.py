@@ -191,3 +191,26 @@ def test_separable_model_reproduces_quantum_statistics():
                - lhv_model_eval(model, "mean", setting_a=1, setting_b=1))
     s_quantum = chsh_value(state, dirs[0], dirs[1], dirs[2], dirs[3]).value
     assert abs(s_model - s_quantum) < 1e-10
+
+
+def _symmetric_lhv_min_compositions(n):
+    """The former O(N^3) enumeration over compositions (n++, n+-, n-+,
+    n--) of N, kept as the oracle for value and witness."""
+    best, witness = None, None
+    for n1 in range(n + 1):
+        for n2 in range(n - n1 + 1):
+            n3 = np.arange(n - n1 - n2 + 1)
+            n4 = n - n1 - n2 - n3
+            p = n1 + n2 - n3 - n4
+            q = n1 - n2 + n3 - n4
+            r = n1 - n2 - n3 + n4
+            w = 2.0 * p + p * q - r + n + 0.5 * (p ** 2 + q ** 2)
+            k = int(np.argmin(w))
+            if best is None or w[k] < best:
+                best, witness = float(w[k]), (n1, n2, int(n3[k]), int(n4[k]))
+    return best, witness
+
+
+def test_symmetric_min_matches_composition_enumeration():
+    for n in range(1, 61):
+        assert symmetric_lhv_min(n) == _symmetric_lhv_min_compositions(n), n

@@ -130,3 +130,23 @@ def test_scan_grid_validation():
     with pytest.raises(ValidationError):
         ScanSpec(parameter="phi", grid=(0.0, 1.0, 0.5), functional="chsh",
                  state_family="werner")
+
+
+def test_reid_search_propagates_real_errors(monkeypatch):
+    # only a vanishing denominator counts as a failed evaluation
+    import bellkit.registry
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("evaluator bug")
+
+    monkeypatch.setattr(bellkit.registry, "reid_ratio", broken)
+    with pytest.raises(RuntimeError, match="evaluator bug"):
+        optimize_settings(maximally_entangled(1), "reid", SearchConfig(seed=1, restarts=1))
+
+
+def test_optimize_settings_refuses_a_state_of_the_wrong_class():
+    from bellkit.states import dicke
+    with pytest.raises(ValidationError):
+        optimize_settings(dicke(4, 2), "chsh", SearchConfig(seed=1, restarts=1))
+    with pytest.raises(ValidationError):
+        optimize_settings(singlet(1), "tura", SearchConfig(seed=1, restarts=1))
