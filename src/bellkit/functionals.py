@@ -14,13 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, DegenerateConditionError, ValidationError
-from .spin import (
-    SpinQuantum,
-    UnitVector,
-    build_spin_rep,
-    sign_projectors,
-    spin_component,
-)
+from .spin import UnitVector, build_spin_rep, sign_projectors, spin_component
 from .states import (
     BipartiteState,
     MeasurementSetting,
@@ -31,6 +25,7 @@ from .states import (
     expect_product,
     expect_side,
     joint_distribution,
+    spin_moments,
 )
 
 VIOLATION_TOL = 1e-9
@@ -204,24 +199,20 @@ def mermin_check(state: BipartiteState, a: UnitVector, b: UnitVector, c: UnitVec
     if state.s_a != state.s_b:
         raise ValidationError("mermin_check needs equal subsystem spins")
     sval = state.s_a.s
-    rep = build_spin_rep(state.s_a)
-    obs_a = spin_component(rep, a)
-    obs_b = spin_component(rep, b)
-    mat_c = rep.component(c)
-    rhs = correlator(state, obs_a.matrix, mat_c) + correlator(state, obs_b.matrix, mat_c)
+    mean, second = spin_moments(state)
+    va, vb, vc = a.as_array(), b.as_array(), c.as_array()
+    rhs = float((va + vb) @ second[:3, 3:] @ vc)
+    delta = np.concatenate([va, -vb])  # Delta = a.S^A - b.S^B
     if reading == "squared_difference":
-        ma, mb = obs_a.matrix, obs_b.matrix
-        eye_a = np.eye(state.s_a.dim)
-        lhs = sval * (expect_product(state, ma @ ma, np.eye(state.s_b.dim))
-                      + expect_product(state, eye_a, mb @ mb)
-                      - 2.0 * expect_product(state, ma, mb))
+        lhs = sval * float(delta @ second @ delta)
     elif reading == "absolute_of_difference":
-        alphas, betas, table = joint_distribution(state, obs_a, obs_b)
+        rep = build_spin_rep(state.s_a)
+        alphas, betas, table = joint_distribution(
+            state, spin_component(rep, a), spin_component(rep, b))
         diff = np.abs(alphas[:, None] - betas[None, :])
         lhs = sval * float(np.sum(diff * table))
     elif reading == "literal":
-        lhs = sval * abs(expect_side(state, obs_a.matrix, "A")
-                         - expect_side(state, obs_b.matrix, "B"))
+        lhs = sval * abs(float(delta @ mean))
     else:
         raise ValidationError(f"unknown reading {reading!r}")
     margin = lhs - rhs
@@ -349,18 +340,9 @@ def cfrd_quadrature_margin(state: BipartiteState) -> float:
     """<Delta S_x^2> + <Delta S_y^2> + 1/4 for the total spin
     S = S^A + S^B; a violation of the quadrature-variable inequality
     would need this to be negative, which no quantum state achieves."""
-    rep_a = build_spin_rep(state.s_a)
-    rep_b = build_spin_rep(state.s_b)
-    eye_a = np.eye(state.s_a.dim)
-    eye_b = np.eye(state.s_b.dim)
-    total = 0.25
-    for op_a, op_b in ((rep_a.sx, rep_b.sx), (rep_a.sy, rep_b.sy)):
-        mean = expect_product(state, op_a, eye_b) + expect_product(state, eye_a, op_b)
-        sq = (expect_product(state, op_a @ op_a, eye_b)
-              + 2.0 * expect_product(state, op_a, op_b)
-              + expect_product(state, eye_a, op_b @ op_b))
-        total += sq - mean ** 2
-    return float(total)
+    mean, second = spin_moments(state)
+    xy = np.tile(np.eye(3)[:2], 2)  # S_x and S_y of the total spin S^A + S^B
+    return float(0.25 + np.trace(xy @ second @ xy.T) - np.sum((xy @ mean) ** 2))
 
 
 def tura_value(state: SymmetricState, n0: UnitVector, n1: UnitVector) -> ViolationReport:
@@ -368,27 +350,20 @@ def tura_value(state: SymmetricState, n0: UnitVector, n1: UnitVector) -> Violati
 
       W = 2 S_0 + S_01 + 2N + (S_00 + S_11)/2  >=  0
 
-    evaluated via collective spin operators on the (N+1)-dimensional
-    symmetric basis; W < 0 means violation.
+    evaluated from the collective spin moments <J> and <J_i J_j> of the
+    (N+1)-dimensional symmetric basis; W < 0 means violation.
     """
     n = state.n_atoms
-    rep = build_spin_rep(SpinQuantum(n))  # collective J = N/2
-    j0 = rep.component(n0)
-    j1 = rep.component(n1)
-    amp = state.amplitudes
-
-    def expect(mat):
-        return float(np.real(np.vdot(amp, mat @ amp)))
-
-    s0 = 2.0 * expect(j0)
-    s00 = 4.0 * expect(j0 @ j0) - n
-    s11 = 4.0 * expect(j1 @ j1) - n
+    mean, second = spin_moments(state)
+    u0, u1 = n0.as_array(), n1.as_array()
+    s0 = 2.0 * float(u0 @ mean)
+    s00 = 4.0 * float(u0 @ second @ u0) - n
+    s11 = 4.0 * float(u1 @ second @ u1) - n
     # sum_{i != j} <m_i0 m_j1> = 2 <{J.n0, J.n1}> - N (n0.n1); the
-    # antisymmetric part 2i J.(n0 x n1) cancels exactly against the
-    # single-site contraction and is discarded after a sanity check
-    anti = j0 @ j1 + j1 @ j0
-    s01 = 2.0 * expect(anti) - n * n0.dot(n1)
-    cross = complex(np.vdot(amp, (j0 @ j1 - j1 @ j0) @ amp))
+    # antisymmetric part [J.n0, J.n1] = i J.(n0 x n1) cancels exactly
+    # against the single-site contraction; its size is reported
+    s01 = 4.0 * float(u0 @ second @ u1) - n * n0.dot(n1)
+    commutator = float(np.cross(u0, u1) @ mean)  # <[J.n0, J.n1]> / i
     w = 2.0 * s0 + s01 + 2.0 * n + 0.5 * (s00 + s11)
     return ViolationReport(
         functional="tura", value=w, bound=0.0, margin=w,
@@ -396,7 +371,7 @@ def tura_value(state: SymmetricState, n0: UnitVector, n1: UnitVector) -> Violati
         settings=[_vec(n0), _vec(n1)],
         state_meta={"family": "symmetric", "n_atoms": n},
         extra={"S0": s0, "S00": s00, "S11": s11, "S01": s01,
-               "commutator_norm": abs(cross)})
+               "commutator_norm": abs(commutator)})
 
 
 def cglmp_I(tables, d: int) -> float:
@@ -412,7 +387,7 @@ def cglmp_I(tables, d: int) -> float:
             raise ValidationError(f"table shape {t.shape} != ({d}, {d})")
         if np.any(t < -1e-12):
             raise ValidationError("negative probabilities in table")
-        if abs(t.sum() - 1.0) > 1e-9:
+        if not abs(t.sum() - 1.0) <= 1e-9:
             raise ValidationError(f"table sums to {t.sum()}, expected 1")
         mats.append(t)
     p11, p12, p21, _p22 = mats

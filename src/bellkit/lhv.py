@@ -84,7 +84,7 @@ class LhvModel:
         w = np.asarray(self.weights, dtype=float)
         if np.any(w < -1e-12):
             raise ValidationError("weights must be non-negative")
-        if abs(w.sum() - 1.0) > 1e-10:
+        if not abs(w.sum() - 1.0) <= 1e-10:  # "not <=" refuses NaN too
             raise ValidationError(f"weights sum to {w.sum()}, expected 1")
         for resp, outs in ((self.response_a, self.scenario.outcomes_a),
                            (self.response_b, self.scenario.outcomes_b)):
@@ -95,7 +95,7 @@ class LhvModel:
                     t = np.asarray(table, dtype=float)
                     if t.shape != (len(outcomes),):
                         raise ValidationError("response table length mismatch")
-                    if np.any(t < -1e-12) or abs(t.sum() - 1.0) > 1e-10:
+                    if np.any(t < -1e-12) or not abs(t.sum() - 1.0) <= 1e-10:
                         raise ValidationError("response table is not a distribution")
 
     @property
@@ -169,8 +169,10 @@ def functional_model_value(model: LhvModel, functional: BellFunctional) -> float
 
 
 def _strategies(outcome_lists) -> np.ndarray:
-    """All deterministic assignments, one row per strategy."""
-    return np.array(list(itertools.product(*outcome_lists)), dtype=float)
+    """All deterministic assignments, one row per strategy, in
+    itertools.product order (the last setting varies fastest)."""
+    grids = np.meshgrid(*outcome_lists, indexing="ij", copy=False)
+    return np.stack(grids, axis=-1, dtype=float).reshape(-1, len(outcome_lists))
 
 
 def _term_matrix(term, strat_a: np.ndarray, strat_b: np.ndarray) -> np.ndarray:

@@ -40,6 +40,8 @@ class SearchConfig:
             raise ValidationError("seed must be >= 0")
         if self.restarts < 1:
             raise ValidationError("restarts must be >= 1")
+        if self.restarts * self.max_evals_per_restart > 10 ** 6:
+            raise CapacityError("restarts x max_evals_per_restart exceeds the 1e6 cap")
         if self.tolerance <= 0:
             raise ValidationError("tolerance must be positive")
 

@@ -49,7 +49,7 @@ class UnitVector:
 
     def __post_init__(self):
         n2 = self.ux ** 2 + self.uy ** 2 + self.uz ** 2
-        if abs(n2 - 1.0) > 1e-12:
+        if not abs(n2 - 1.0) <= 1e-12:  # "not <=" refuses NaN too
             raise ValidationError(f"not a unit vector: |u|^2 = {n2!r}")
 
     @classmethod
@@ -130,7 +130,7 @@ class HermitianObservable:
         matrix = np.asarray(matrix, dtype=complex)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValidationError("observable matrix must be square")
-        if np.max(np.abs(matrix - matrix.conj().T)) > 1e-10:
+        if not np.max(np.abs(matrix - matrix.conj().T)) <= 1e-10:
             raise ValidationError("observable matrix is not Hermitian")
         evals, evecs = np.linalg.eigh(matrix)
         norm = max(np.max(np.abs(evals)), 1.0e-3)

@@ -78,15 +78,15 @@ class BipartiteState:
             if self.psi is None or self.psi.shape != (d_a, d_b):
                 raise ValidationError("pure state needs a d_A x d_B coefficient matrix")
             norm2 = float(np.sum(np.abs(self.psi) ** 2))
-            if abs(norm2 - 1.0) > 1e-10:
+            if not abs(norm2 - 1.0) <= 1e-10:  # "not <=" refuses NaN too
                 raise ValidationError(f"pure state not normalized: |psi|^2 = {norm2}")
         elif self.kind == "mixed":
             if self.rho is None or self.rho.shape != (d_a * d_b, d_a * d_b):
                 raise ValidationError("mixed state needs a (d_A d_B)^2 density matrix")
-            if np.max(np.abs(self.rho - self.rho.conj().T)) > 1e-10:
+            if not np.max(np.abs(self.rho - self.rho.conj().T)) <= 1e-10:
                 raise ValidationError("density matrix not Hermitian")
             tr = float(np.real(np.trace(self.rho)))
-            if abs(tr - 1.0) > 1e-10:
+            if not abs(tr - 1.0) <= 1e-10:
                 raise ValidationError(f"density matrix trace {tr} != 1")
             if float(np.min(np.linalg.eigvalsh(self.rho))) < -1e-10:
                 raise ValidationError("density matrix not positive semidefinite")
@@ -258,7 +258,7 @@ def separable_mixture(components) -> BipartiteState:
     weights = np.array([w for w, _, _ in components], dtype=float)
     if np.any(weights < 0):
         raise ValidationError("weights must be non-negative")
-    if abs(weights.sum() - 1.0) > 1e-10:
+    if not abs(weights.sum() - 1.0) <= 1e-10:
         raise ValidationError(f"weights sum to {weights.sum()}, expected 1")
     d_a = np.asarray(components[0][1]).shape[0]
     d_b = np.asarray(components[0][2]).shape[0]
@@ -270,9 +270,9 @@ def separable_mixture(components) -> BipartiteState:
         for name, m in (("A", ra), ("B", rb)):
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValidationError(f"factor {name} is not square")
-            if np.max(np.abs(m - m.conj().T)) > 1e-10:
+            if not np.max(np.abs(m - m.conj().T)) <= 1e-10:
                 raise ValidationError(f"factor {name} not Hermitian")
-            if abs(np.real(np.trace(m)) - 1.0) > 1e-10:
+            if not abs(np.real(np.trace(m)) - 1.0) <= 1e-10:
                 raise ValidationError(f"factor {name} trace != 1")
             if float(np.min(np.linalg.eigvalsh(m))) < -1e-10:
                 raise ValidationError(f"factor {name} not positive semidefinite")
@@ -298,7 +298,7 @@ class MultiQubitState:
             raise CapacityError("n > 14 qubits not supported")
         if self.amplitudes.shape != (2 ** self.n,):
             raise ValidationError("amplitude vector has wrong length")
-        if abs(np.linalg.norm(self.amplitudes) - 1.0) > 1e-10:
+        if not abs(np.linalg.norm(self.amplitudes) - 1.0) <= 1e-10:
             raise ValidationError("state not normalized")
 
 
@@ -323,7 +323,7 @@ class SymmetricState:
     def __post_init__(self):
         if self.amplitudes.shape != (self.n_atoms + 1,):
             raise ValidationError("amplitude vector has wrong length")
-        if abs(np.linalg.norm(self.amplitudes) - 1.0) > 1e-10:
+        if not abs(np.linalg.norm(self.amplitudes) - 1.0) <= 1e-10:
             raise ValidationError("state not normalized")
 
 
@@ -446,15 +446,35 @@ def uncertainty_margin(state: BipartiteState, obs_1, obs_2, side: str = "A") -> 
     return float(np.sqrt(max(v1, 0.0)) * np.sqrt(max(v2, 0.0)) - abs(em) / 2.0)
 
 
+def spin_moments(state) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, second) with mean[k] = <O_k> and second[k, l] = Re <O_k O_l>
+    for O = (S^A_x, S^A_y, S^A_z, S^B_x, S^B_y, S^B_z) of a BipartiteState
+    (S^A standing for S^A (x) 1) and O = (J_x, J_y, J_z) of a
+    SymmetricState, so Re <(u.O)(v.O)> = u^T second v for real u, v.
+
+    A symmetric state is read through its images J_k |psi>; a bipartite
+    state through each side's reduced density matrix and the cross block
+    T[i, j] = <S^A_i (x) S^B_j>, contracted in expect_product's order so
+    that searches over T take the same steps as over its correlators."""
+    if isinstance(state, SymmetricState):
+        rep = build_spin_rep(SpinQuantum(state.n_atoms))
+        images = np.array([op @ state.amplitudes for op in (rep.sx, rep.sy, rep.sz)])
+        return (images @ state.amplitudes.conj()).real, (images.conj() @ images.T).real
+    reps = build_spin_rep(state.s_a), build_spin_rep(state.s_b)
+    ops_a, ops_b = (np.array([r.sx, r.sy, r.sz]) for r in reps)
+    if state.kind == "pure":
+        psi = state.psi
+        cross = np.array([[np.trace(m @ b.T) for b in ops_b] for m in psi.conj().T @ ops_a @ psi])
+    else:
+        rho = state.rho.reshape(*state.dims, *state.dims)
+        cross = np.einsum("iac,jbd,cdab->ij", ops_a, ops_b, rho)
+    (mean_a, aa), (mean_b, bb) = [
+        (np.einsum("iab,ba->i", ops, red).real, np.einsum("iab,jba->ij", ops, ops @ red).real)
+        for ops, red in ((ops_a, state.reduced("A")), (ops_b, state.reduced("B")))]
+    return np.concatenate([mean_a, mean_b]), np.block([[aa, cross.real], [cross.real.T, bb]])
+
+
 def spin_correlation_matrix(state: BipartiteState) -> np.ndarray:
     """3x3 matrix T[i, j] = <S_i^A (x) S_j^B>; any spin-component
     correlator is then u^T T v."""
-    rep_a = build_spin_rep(state.s_a)
-    rep_b = build_spin_rep(state.s_b)
-    ops_a = (rep_a.sx, rep_a.sy, rep_a.sz)
-    ops_b = (rep_b.sx, rep_b.sy, rep_b.sz)
-    t = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            t[i, j] = expect_product(state, ops_a[i], ops_b[j])
-    return t
+    return spin_moments(state)[1][:3, 3:]

@@ -86,13 +86,14 @@ BASE = [
 
 NAMES = ["chsh", "mermin", "reid", "tura", "cfrd", "cfrd_quadrature", "drummond", "mabk",
          "cglmp_I", "cfrd_weights", "generalized_chsh", "cglmp", "tura_symmetric", "nope"]
-# sizes at most 8 or at least 1e12; no search budget above 2 restarts x 50 evaluations
+# sizes at most 8 or at least 1e12; no search budget that runs above 2 restarts x 50
+# evaluations (10**12 is refused by the budget cap)
 BAD = ["x", "", True, False, None, [], [1], [1, "a"], {}, {"a": 1}, 2.5, -1, 0, 1, 3, 8,
        -10 ** 12, 10 ** 12, 10 ** 15, 10 ** 400, 1e12, 1e308, -1e308, float("nan"),
        float("inf"), "NaN"]
 TOP = ["functional", "state", "settings", "search", "scan"]
-BUDGET = {"restarts": [-1, 0, 1, 2, "2", 2.0, True, None],
-          "max_evals_per_restart": [-5, 0, 1, 50, "50", 7.5, [], None]}
+BUDGET = {"restarts": [-1, 0, 1, 2, "2", 2.0, True, None, 10 ** 12],
+          "max_evals_per_restart": [-5, 0, 1, 50, "50", 7.5, [], None, 10 ** 12]}
 
 
 def _paths(node, path=()):
@@ -278,6 +279,11 @@ PROBES = [
     # integral floats are integers
     (EXIT_OK, "evaluate", {"state": _state("maximally_entangled", n=2.0),
                            "functional": {"name": "chsh"}, "settings": CHSH_SETTINGS}),
+    # amplitudes that overflow to NaN; a search budget beyond its cap
+    (EXIT_BAD_SPEC, "evaluate", {"state": _state("relative_phase", n=4, theta=1e308),
+                                 "functional": {"name": "cfrd_quadrature"}}),
+    (EXIT_CAPACITY, "optimize", {"state": ME, "functional": {"name": "chsh"},
+                                 "search": dict(SEARCH, restarts=10 ** 12)}),
 ]
 
 

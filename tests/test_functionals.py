@@ -8,6 +8,7 @@ from bellkit.errors import CapacityError, DegenerateConditionError, ValidationEr
 from bellkit.spin import SpinQuantum, UnitVector, build_spin_rep
 from bellkit.states import (
     BipartiteState,
+    SymmetricState,
     dicke,
     ghz,
     maximally_entangled,
@@ -15,6 +16,7 @@ from bellkit.states import (
     rm_weighted,
     separable_mixture,
     singlet,
+    werner,
 )
 from bellkit.functionals import (
     cfrd_margin,
@@ -325,3 +327,47 @@ def test_cglmp_I_validation():
     unnorm = [np.ones((d, d))] * 4
     with pytest.raises(ValidationError):
         cglmp_I(unnorm, d)
+
+
+def _random_direction(rng):
+    return UnitVector.from_angles(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+
+
+def test_tura_moments_match_collective_operators():
+    # general complex symmetric states and directions off the x-z plane,
+    # against the collective operators' products on the symmetric basis
+    rng = np.random.default_rng(31)
+    for n in (1, 3, 8):
+        rep = build_spin_rep(SpinQuantum(n))
+        amp = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+        st = SymmetricState(n, amp / np.linalg.norm(amp))
+        n0, n1 = _random_direction(rng), _random_direction(rng)
+        j0, j1 = rep.component(n0), rep.component(n1)
+        ex = lambda m: complex(np.vdot(st.amplitudes, m @ st.amplitudes))
+        want = {"S0": 2 * ex(j0).real, "S00": 4 * ex(j0 @ j0).real - n,
+                "S11": 4 * ex(j1 @ j1).real - n,
+                "S01": 2 * ex(j0 @ j1 + j1 @ j0).real - n * n0.dot(n1),
+                "commutator_norm": abs(ex(j0 @ j1 - j1 @ j0))}
+        got = tura_value(st, n0, n1)
+        assert max(abs(got.extra[k] - v) for k, v in want.items()) < 1e-10
+        w = 2 * want["S0"] + want["S01"] + 2 * n + (want["S00"] + want["S11"]) / 2
+        assert abs(got.value - w) < 1e-10
+
+
+def test_mermin_and_quadrature_match_dense_operators():
+    rng = np.random.default_rng(32)
+    rep, eye = build_spin_rep(SpinQuantum(2)), np.eye(3)
+    side_a = lambda u: np.kron(rep.component(u), eye)
+    side_b = lambda u: np.kron(eye, rep.component(u))
+    for st in (random_pure_state(SpinQuantum(2), SpinQuantum(2), rng), werner(2, -0.3)):
+        ex = lambda m: float(np.trace(st.density() @ m).real)
+        a, b, c = (_random_direction(rng) for _ in range(3))
+        delta = side_a(a) - side_b(b)
+        rep_sq = mermin_check(st, a, b, c)
+        assert abs(rep_sq.bound - ex((side_a(a) + side_a(b)) @ side_b(c))) < 1e-10
+        assert abs(rep_sq.value - ex(delta @ delta)) < 1e-10  # s = 1
+        assert abs(mermin_check(st, a, b, c, "literal").value - abs(ex(delta))) < 1e-10
+        ey = UnitVector(0.0, 1.0, 0.0)
+        sx, sy = side_a(EX) + side_b(EX), side_a(ey) + side_b(ey)
+        want = 0.25 + ex(sx @ sx) - ex(sx) ** 2 + ex(sy @ sy) - ex(sy) ** 2
+        assert abs(cfrd_quadrature_margin(st) - want) < 1e-10

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from bellkit.functionals import (
 )
 from bellkit.lhv import (
     LhvModel,
+    _strategies,
     Scenario,
     cglmp_scenario,
     enumerate_lhv_bound,
@@ -214,3 +216,12 @@ def _symmetric_lhv_min_compositions(n):
 def test_symmetric_min_matches_composition_enumeration():
     for n in range(1, 61):
         assert symmetric_lhv_min(n) == _symmetric_lhv_min_compositions(n), n
+
+
+def test_strategies_in_product_order():
+    # witnesses are read off by row index, so the rows keep
+    # itertools.product's order
+    for lists in (((0.5, -0.5), (1, 0, -1)), ((2, 1, 0), (7,), (0.5, -0.5)),
+                  ((1.5, 0.5, -0.5, -1.5), (0, 1))):
+        want = np.array(list(itertools.product(*lists)), dtype=float)
+        assert np.array_equal(_strategies(lists), want)

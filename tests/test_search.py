@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bellkit.errors import ValidationError
+from bellkit.errors import CapacityError, ValidationError
 from bellkit.spin import SpinQuantum
 from bellkit.states import maximally_entangled, singlet
 from bellkit.search import (
@@ -23,6 +23,11 @@ def test_search_config_validation():
         SearchConfig(seed=1, restarts=0)
     with pytest.raises(ValidationError):
         SearchConfig(seed=1, tolerance=0.0)
+    # the budget cap: restarts x evaluations per restart at most 1e6
+    SearchConfig(seed=1, restarts=500, max_evals_per_restart=2000)
+    for restarts, evals in ((501, 2000), (10 ** 12, 5), (1, 10 ** 12)):
+        with pytest.raises(CapacityError):
+            SearchConfig(seed=1, restarts=restarts, max_evals_per_restart=evals)
 
 
 def test_pattern_search_quadratic():

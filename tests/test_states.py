@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,8 @@ from bellkit.spin import SpinQuantum, UnitVector, build_spin_rep, spin_component
 from bellkit.states import (
     BipartiteState,
     MeasurementSetting,
+    MultiQubitState,
+    SymmetricState,
     angular_momentum_eigenstate,
     binned_joint_probability,
     conditioned_state,
@@ -26,6 +29,7 @@ from bellkit.states import (
     separable_mixture,
     singlet,
     spin_correlation_matrix,
+    spin_moments,
     uncertainty_margin,
     werner,
 )
@@ -284,3 +288,74 @@ def test_state_invariant_validation():
     with pytest.raises(ValidationError):
         BipartiteState("mixed", SpinQuantum(1), SpinQuantum(1),
                        rho=np.diag([0.9, 0.3, -0.1, -0.1]))
+
+
+def test_non_finite_states_refused():
+    # k theta overflows to inf at k = 2, so exp(i k theta) is NaN
+    with pytest.raises(ValidationError), np.errstate(invalid="ignore"):
+        relative_phase(4, 1e308)
+    nan = float("nan")
+    with pytest.raises(ValidationError):
+        BipartiteState("mixed", SpinQuantum(1), SpinQuantum(1), rho=np.diag([nan, 1.0, 0, 0]))
+    with pytest.raises(ValidationError):
+        SymmetricState(2, np.array([nan, 0.0, 0.0]))
+    with pytest.raises(ValidationError):
+        MultiQubitState(1, np.array([nan, 1.0]))
+    with pytest.raises(ValidationError):
+        separable_mixture([(nan, np.eye(2) / 2, np.eye(2) / 2)])
+    with pytest.raises(ValidationError):
+        UnitVector(nan, 0.0, 0.0)
+
+
+def _dense_moments(rho, ops):
+    """<O_k> and Re <O_k O_l> as traces against the full density matrix."""
+    mean = np.array([np.trace(rho @ o).real for o in ops])
+    second = np.array([[np.trace(rho @ o @ p).real for p in ops] for o in ops])
+    return mean, second
+
+
+def test_spin_moments_bipartite_against_kron():
+    sa, sb = SpinQuantum(2), SpinQuantum(3)  # s_A = 1, s_B = 3/2
+    ra, rb = build_spin_rep(sa), build_spin_rep(sb)
+    mix = separable_mixture([(0.3, random_density(3, RNG), random_density(4, RNG)),
+                             (0.7, random_density(3, RNG), random_density(4, RNG))])
+    for st in (random_pure_state(sa, sb, RNG), mix):
+        ops = ([np.kron(o, np.eye(4)) for o in (ra.sx, ra.sy, ra.sz)]
+               + [np.kron(np.eye(3), o) for o in (rb.sx, rb.sy, rb.sz)])
+        mean, second = spin_moments(st)
+        want_mean, want_second = _dense_moments(st.density(), ops)
+        assert np.max(np.abs(mean - want_mean)) < 1e-12
+        assert np.max(np.abs(second - want_second)) < 1e-12
+    rep = build_spin_rep(SpinQuantum(2))
+    for phi in (-1.0, -0.3, 0.6):
+        st = werner(2, phi)
+        ops = ([np.kron(o, np.eye(3)) for o in (rep.sx, rep.sy, rep.sz)]
+               + [np.kron(np.eye(3), o) for o in (rep.sx, rep.sy, rep.sz)])
+        mean, second = spin_moments(st)
+        want_mean, want_second = _dense_moments(st.rho, ops)
+        assert np.max(np.abs(mean - want_mean)) < 1e-12
+        assert np.max(np.abs(second - want_second)) < 1e-12
+
+
+def test_spin_moments_symmetric_against_pauli_tensor():
+    paulis = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+              np.array([[1, 0], [0, -1]]))
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 5, 8):
+        # J_i = sum of sigma_i / 2 over the n sites, on the full 2^n space
+        ops = [sum(np.kron(np.kron(np.eye(2 ** i), p), np.eye(2 ** (n - i - 1))) / 2
+                   for i in range(n)) for p in paulis]
+        # |N/2, M> with M = N/2 - i is the uniform superposition of the
+        # basis states with i set bits (each set bit a spin down)
+        basis = np.zeros((n + 1, 2 ** n))
+        for i in range(n + 1):
+            for bits in itertools.combinations(range(n), i):
+                basis[i, sum(1 << b for b in bits)] = 1.0
+            basis[i] /= np.linalg.norm(basis[i])
+        amp = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+        st = SymmetricState(n, amp / np.linalg.norm(amp))
+        vec = st.amplitudes @ basis
+        mean, second = spin_moments(st)
+        want_mean, want_second = _dense_moments(np.outer(vec, vec.conj()), ops)
+        assert np.max(np.abs(mean - want_mean)) < 1e-12
+        assert np.max(np.abs(second - want_second)) < 1e-12
