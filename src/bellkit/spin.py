@@ -8,6 +8,7 @@ measurement outcomes are the m-values themselves.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -16,6 +17,7 @@ import numpy as np
 from .errors import CapacityError, ValidationError
 
 DIM_CAP = 4097
+_EIGENBASIS_CACHE = 8  # spins whose S_y eigenbasis is kept: (2s+1)^2 complex each
 
 ZERO_POLICIES = ("plus", "minus", "exclude")
 
@@ -91,6 +93,14 @@ class SpinRep:
         return u.ux * self.sx + u.uy * self.sy + u.uz * self.sz
 
 
+def _ladder_coefficients(two_s: int) -> np.ndarray:
+    """<m+1|S_+|m> = sqrt(s(s+1) - m(m+1)) for m = s-1 ... -s, the
+    superdiagonal of S_+ in the basis order m = s ... -s."""
+    sval = two_s / 2.0
+    m = sval - np.arange(1, two_s + 1)
+    return np.sqrt(sval * (sval + 1) - m * (m + 1))
+
+
 def build_spin_rep(s: SpinQuantum, dim_cap: int = DIM_CAP) -> SpinRep:
     """Construct S_x, S_y, S_z from the ladder matrix elements
     <m+-1|S_+-|m> = sqrt(s(s+1) - m(m+-1))."""
@@ -99,14 +109,8 @@ def build_spin_rep(s: SpinQuantum, dim_cap: int = DIM_CAP) -> SpinRep:
     d = s.dim
     if d > dim_cap:
         raise CapacityError(f"dimension {d} exceeds cap {dim_cap}")
-    sval = s.s
-    m = sval - np.arange(d)  # basis order m = s ... -s
-    sz = np.diag(m).astype(complex)
-    sp = np.zeros((d, d), dtype=complex)
-    for i in range(1, d):
-        # raising operator: |m+1><m| entry, row i-1 (m+1), column i (m)
-        mm = m[i]
-        sp[i - 1, i] = math.sqrt(sval * (sval + 1) - mm * (mm + 1))
+    sz = np.diag(s.s - np.arange(d)).astype(complex)  # basis order m = s ... -s
+    sp = np.diag(_ladder_coefficients(s.two_s), 1).astype(complex)
     sm = sp.conj().T
     sx = (sp + sm) / 2.0
     sy = (sp - sm) / 2j
@@ -115,18 +119,22 @@ def build_spin_rep(s: SpinQuantum, dim_cap: int = DIM_CAP) -> SpinRep:
 
 @dataclass(frozen=True)
 class HermitianObservable:
-    """Hermitian matrix with its spectrum and eigenprojectors.
+    """Hermitian matrix with its orthonormal eigenvectors.
 
-    Eigenvalues within 1e-9 of the spectral norm are grouped into a
-    single degenerate projector.
+    Column k of `eigenvectors` has eigenvalue `levels[k]`, ascending;
+    degenerate columns share one level, so each distinct level is one
+    outcome.  Projectors are built only when asked for (d^3 memory for
+    all of them).
     """
 
     matrix: np.ndarray
-    outcome_spectrum: np.ndarray  # distinct eigenvalues, ascending
-    eigenprojectors: tuple  # ((eigenvalue, projector), ...) same order
+    eigenvectors: np.ndarray
+    levels: np.ndarray
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "HermitianObservable":
+        """Diagonalize an arbitrary Hermitian matrix; eigenvalues within
+        1e-9 of the spectral norm are grouped into one outcome, their mean."""
         matrix = np.asarray(matrix, dtype=complex)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValidationError("observable matrix must be square")
@@ -135,60 +143,78 @@ class HermitianObservable:
         evals, evecs = np.linalg.eigh(matrix)
         norm = max(np.max(np.abs(evals)), 1.0e-3)
         tol = 1e-9 * norm
-        groups = []  # (mean eigenvalue, projector)
+        levels = np.empty(len(evals))
         i = 0
         n = len(evals)
         while i < n:
             j = i
             while j + 1 < n and evals[j + 1] - evals[i] <= tol:
                 j += 1
-            vecs = evecs[:, i:j + 1]
-            proj = vecs @ vecs.conj().T
-            groups.append((float(np.mean(evals[i:j + 1])), proj))
+            levels[i:j + 1] = float(np.mean(evals[i:j + 1]))
             i = j + 1
-        spectrum = np.array([g[0] for g in groups])
-        return cls(matrix=matrix, outcome_spectrum=spectrum, eigenprojectors=tuple(groups))
-
-    def projector_for(self, outcome: float, tol: float = 1e-8) -> np.ndarray:
-        for lam, proj in self.eigenprojectors:
-            if abs(lam - outcome) <= tol:
-                return proj
-        raise ValidationError(f"outcome {outcome} not in spectrum {self.outcome_spectrum}")
+        return cls(matrix=matrix, eigenvectors=evecs, levels=levels)
 
     @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+    def outcome_spectrum(self) -> np.ndarray:
+        """Distinct eigenvalues, ascending."""
+        return np.unique(self.levels)
+
+    @functools.cached_property
+    def eigenprojectors(self) -> tuple:
+        """((eigenvalue, projector), ...) in outcome_spectrum order."""
+        return tuple((float(lam), self._projector(self.levels == lam))
+                     for lam in self.outcome_spectrum)
+
+    def _projector(self, columns: np.ndarray) -> np.ndarray:
+        vecs = self.eigenvectors[:, columns]
+        return vecs @ vecs.conj().T
+
+    def projector_for(self, outcome: float, tol: float = 1e-8) -> np.ndarray:
+        for lam in self.outcome_spectrum:
+            if abs(lam - outcome) <= tol:
+                return self._projector(self.levels == lam)
+        raise ValidationError(f"outcome {outcome} not in spectrum {self.outcome_spectrum}")
+
+
+@functools.lru_cache(maxsize=_EIGENBASIS_CACHE)
+def _sy_eigenbasis(two_s: int) -> np.ndarray:
+    """Eigenvectors of S_y, columns in ascending eigenvalue order, so
+    column k has eigenvalue k - s exactly."""
+    c = _ladder_coefficients(two_s) / 2.0
+    sy = np.diag(-1j * c, 1) + np.diag(1j * c, -1)
+    vecs = np.linalg.eigh(sy)[1]
+    vecs.flags.writeable = False
+    return vecs
 
 
 def spin_component(rep: SpinRep, u: UnitVector) -> HermitianObservable:
-    """Observable u . S with its full eigenstructure."""
-    return HermitianObservable.from_matrix(rep.component(u))
+    """Observable u . S, with eigenvectors the columns of the rotation
+    R(u) = exp(-i phi S_z) exp(-i theta S_y) that takes z to u: u . S
+    R|m> = m R|m>, so the outcomes are the m-values exactly."""
+    m = rep.s.s - np.arange(rep.dim)  # basis order m = s ... -s
+    theta = math.atan2(math.hypot(u.ux, u.uy), u.uz)
+    v = _sy_eigenbasis(rep.s.two_s)  # column k has eigenvalue k - s = -m[k], so
+    # exp(-i theta S_y) = V exp(i theta m) V^dagger; it is real (Wigner's small d)
+    small_d = ((v * np.exp(1j * theta * m)) @ v.conj().T).real
+    rotation = np.exp(-1j * math.atan2(u.uy, u.ux) * m)[:, None] * small_d
+    return HermitianObservable(matrix=rep.component(u), eigenvectors=rotation[:, ::-1],
+                               levels=m[::-1])
 
 
 def sign_projectors(obs: HermitianObservable, zero_policy: str = "plus"):
     """(Pi_plus, Pi_minus) for the positive / negative outcome bins.
 
-    A (near-)zero eigenvalue goes to the + bin ("plus"), the - bin
-    ("minus"), or neither ("exclude"); in the last case the two
-    projectors do not sum to the identity and callers must renormalize.
+    An outcome exactly zero (m = 0 of an integer spin) goes to the + bin
+    ("plus"), the - bin ("minus"), or neither ("exclude"); in the last
+    case the two projectors do not sum to the identity and callers must
+    renormalize.
     """
     if zero_policy not in ZERO_POLICIES:
         raise ValidationError(f"unknown zero_policy {zero_policy!r}")
-    d = obs.dim
-    norm = max(float(np.max(np.abs(obs.outcome_spectrum))), 1e-3)
-    ztol = 1e-9 * norm
-    plus = np.zeros((d, d), dtype=complex)
-    minus = np.zeros((d, d), dtype=complex)
-    for lam, proj in obs.eigenprojectors:
-        if lam > ztol:
-            plus += proj
-        elif lam < -ztol:
-            minus += proj
-        elif zero_policy == "plus":
-            plus += proj
-        elif zero_policy == "minus":
-            minus += proj
-    return plus, minus
+    zero = obs.levels == 0
+    plus = (obs.levels > 0) | (zero & (zero_policy == "plus"))
+    minus = (obs.levels < 0) | (zero & (zero_policy == "minus"))
+    return obs._projector(plus), obs._projector(minus)
 
 
 def _check_half_integer(name, value):

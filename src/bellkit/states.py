@@ -18,6 +18,7 @@ from .spin import (
     HermitianObservable,
     SpinQuantum,
     UnitVector,
+    _ladder_coefficients,
     build_spin_rep,
     clebsch_gordan,
     sign_projectors,
@@ -164,6 +165,8 @@ def relative_phase(n: int, theta: float) -> BipartiteState:
         raise ValidationError("n must be >= 1")
     d = n + 1
     _check_dims("pure", d, d)
+    if not np.isfinite(n * float(theta)):  # bounds every k theta below
+        raise ValidationError(f"n * theta is not finite for n = {n}, theta = {theta}")
     s = n / 2.0
     psi = np.zeros((d, d), dtype=complex)
     for i in range(d):
@@ -452,14 +455,20 @@ def spin_moments(state) -> tuple[np.ndarray, np.ndarray]:
     (S^A standing for S^A (x) 1) and O = (J_x, J_y, J_z) of a
     SymmetricState, so Re <(u.O)(v.O)> = u^T second v for real u, v.
 
-    A symmetric state is read through its images J_k |psi>; a bipartite
-    state through each side's reduced density matrix and the cross block
+    A symmetric state is read through its images J_k |psi>, O(N) from
+    the ladder coefficients; a bipartite state through each side's
+    reduced density matrix and the cross block
     T[i, j] = <S^A_i (x) S^B_j>, contracted in expect_product's order so
     that searches over T take the same steps as over its correlators."""
     if isinstance(state, SymmetricState):
-        rep = build_spin_rep(SpinQuantum(state.n_atoms))
-        images = np.array([op @ state.amplitudes for op in (rep.sx, rep.sy, rep.sz)])
-        return (images @ state.amplitudes.conj()).real, (images.conj() @ images.T).real
+        if state.n_atoms < 1:
+            raise ValidationError("spin_moments requires n_atoms >= 1")
+        psi, c = state.amplitudes, _ladder_coefficients(state.n_atoms)
+        raised = np.append(c * psi[1:], 0.0)  # J_+ psi
+        lowered = np.insert(c * psi[:-1], 0, 0.0)  # J_- psi
+        m = state.n_atoms / 2.0 - np.arange(len(psi))
+        images = np.array([(raised + lowered) / 2.0, (raised - lowered) / 2j, m * psi])
+        return (images @ psi.conj()).real, (images.conj() @ images.T).real
     reps = build_spin_rep(state.s_a), build_spin_rep(state.s_b)
     ops_a, ops_b = (np.array([r.sx, r.sy, r.sz]) for r in reps)
     if state.kind == "pure":

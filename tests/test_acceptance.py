@@ -14,7 +14,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from bellkit.spin import SpinQuantum, UnitVector, build_spin_rep, spin_component
 from bellkit.states import (
@@ -42,7 +41,6 @@ from bellkit.functionals import (
     drummond_margin,
     generalized_chsh_functional,
     mabk_value,
-    mermin_check,
 )
 from bellkit.functionals import cglmp_functional
 from bellkit.lhv import (

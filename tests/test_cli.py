@@ -1,8 +1,6 @@
 import json
 import math
-import os
 
-import numpy as np
 import pytest
 
 from bellkit.cli import (
@@ -15,7 +13,6 @@ from bellkit.cli import (
     run,
     selftest,
 )
-from bellkit.errors import ValidationError
 
 
 def write_spec(tmp_path, name, payload):

@@ -180,6 +180,41 @@ def test_reid_ratio_violation():
     assert rep.violation
 
 
+def _dense_plus_bin(two_s, angle, zero_policy):
+    """Pi_+ of S_z cos(2 angle) + S_x sin(2 angle) from its eigh, with the
+    zero eigenvalue found by tolerance."""
+    rep = build_spin_rep(SpinQuantum(two_s))
+    evals, evecs = np.linalg.eigh(np.cos(2 * angle) * rep.sz + np.sin(2 * angle) * rep.sx)
+    keep = (evals > 1e-9) | ((np.abs(evals) <= 1e-9) & (zero_policy == "plus"))
+    return evecs[:, keep] @ evecs[:, keep].conj().T
+
+
+# reid_ratio(maximally_entangled(200), *REID_ANGLES_N200) per zero policy,
+# as the eigendecomposition-based evaluator gave it
+REID_ANGLES_N200 = (0.3, 1.1, 0.5, 2.0)
+REID_RATIO_N200 = {"plus": 0.9181200003979829, "minus": 0.917301200401963,
+                   "exclude": 0.917301200401963}
+
+
+def test_reid_ratio_large_spin_against_dense_oracle():
+    # psi = 1/sqrt(d): P(+,+) = Tr(Pa Pb^T) / d and both marginals are Tr(P) / d
+    n = 200
+    theta, theta_star, phi, phi_star = REID_ANGLES_N200
+    state = maximally_entangled(n)
+    for policy, golden in REID_RATIO_N200.items():
+        plus = {a: _dense_plus_bin(n, a, policy) for a in REID_ANGLES_N200}
+
+        def p_pp(a, b):
+            return np.trace(plus[a] @ plus[b].T).real / (n + 1)
+
+        num = p_pp(theta, phi) - p_pp(theta, phi_star) + p_pp(theta_star, phi) \
+            + p_pp(theta_star, phi_star)
+        den = (np.trace(plus[theta_star]).real + np.trace(plus[phi]).real) / (n + 1)
+        rep = reid_ratio(state, *REID_ANGLES_N200, zero_policy=policy)
+        assert abs(rep.value - num / den) < 1e-12
+        assert abs(rep.value - golden) < 1e-12
+
+
 def test_reid_separable_no_violation():
     rng = np.random.default_rng(4)
     comps = [(1.0, random_density(3, rng), random_density(3, rng))]

@@ -6,7 +6,7 @@ import pytest
 
 from bellkit.errors import CapacityError, ValidationError
 from bellkit.spin import SpinQuantum, UnitVector, build_spin_rep, spin_component
-from bellkit.states import binned_joint_probability, MeasurementSetting, separable_mixture
+from bellkit.states import separable_mixture
 from bellkit.functionals import (
     cglmp_functional,
     chsh_functional,

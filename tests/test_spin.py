@@ -5,6 +5,7 @@ import pytest
 
 from bellkit.errors import CapacityError, ValidationError
 from bellkit.spin import (
+    ZERO_POLICIES,
     HermitianObservable,
     SpinQuantum,
     UnitVector,
@@ -94,6 +95,22 @@ def test_algebra_invariants():
             assert np.max(np.abs(m - m.conj().T)) < 1e-12
 
 
+def test_spin_rep_bit_identical_to_ladder_loop():
+    for two_s in range(1, 65):
+        s = two_s / 2.0
+        d = two_s + 1
+        m = s - np.arange(d)
+        sp = np.zeros((d, d), dtype=complex)
+        for i in range(1, d):
+            sp[i - 1, i] = math.sqrt(s * (s + 1) - m[i] * (m[i] + 1))
+        sm = sp.conj().T
+        rep = build_spin_rep(SpinQuantum(two_s))
+        for got, want in ((rep.sx, (sp + sm) / 2.0), (rep.sy, (sp - sm) / 2j),
+                          (rep.sz, np.diag(m).astype(complex))):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
 def test_dimension_cap():
     with pytest.raises(CapacityError):
         build_spin_rep(SpinQuantum(2 * 4097))
@@ -153,6 +170,57 @@ def test_sign_projectors_policies():
     assert int(round(np.trace(plus + minus).real)) == 2
     with pytest.raises(ValidationError):
         sign_projectors(obs, "bogus")
+
+
+def _tolerance_sign_projectors(obs, zero_policy):
+    """Reference bins: an eigenvalue within 1e-9 of the spectral norm
+    of zero is the zero outcome."""
+    ztol = 1e-9 * max(float(np.max(np.abs(obs.outcome_spectrum))), 1e-3)
+    plus = sum(p for lam, p in obs.eigenprojectors
+               if lam > ztol or (abs(lam) <= ztol and zero_policy == "plus"))
+    minus = sum(p for lam, p in obs.eigenprojectors
+                if lam < -ztol or (abs(lam) <= ztol and zero_policy == "minus"))
+    return plus, minus
+
+
+ROTATION_DIRECTIONS = [
+    UnitVector(0.0, 0.0, 1.0), UnitVector(0.0, 0.0, -1.0),  # the poles
+    UnitVector(1.0, 0.0, 0.0), UnitVector(-1.0, 0.0, 0.0),
+    UnitVector.from_angles(0.7, 0.0), UnitVector.from_angles(2.5, math.pi),  # x-z plane
+    UnitVector(0.0, 1.0, 0.0), UnitVector(0.0, -1.0, 0.0),
+    UnitVector.from_angles(1.1, 0.4), UnitVector.from_angles(2.9, -2.2),  # u_y != 0
+]
+
+
+@pytest.mark.parametrize("two_s", [1, 2, 3, 4, 20, 101])
+def test_rotated_spin_component_against_eigh(two_s):
+    rep = build_spin_rep(SpinQuantum(two_s))
+    m = np.arange(two_s + 1) - two_s / 2.0
+    for u in ROTATION_DIRECTIONS:
+        obs = spin_component(rep, u)
+        ref = HermitianObservable.from_matrix(rep.component(u))
+        assert np.array_equal(obs.levels, m)
+        assert np.array_equal(obs.outcome_spectrum, m)
+        assert np.max(np.abs(obs.outcome_spectrum - ref.outcome_spectrum)) < 1e-12 * two_s
+        vecs = obs.eigenvectors
+        assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(two_s + 1))) < 1e-12
+        assert np.max(np.abs(rep.component(u) @ vecs - vecs * m)) < 1e-12 * two_s
+        for (lam, p), (ref_lam, ref_p) in zip(obs.eigenprojectors, ref.eigenprojectors):
+            assert abs(lam - ref_lam) < 1e-12 * two_s
+            assert np.max(np.abs(p - ref_p)) < 1e-12
+        for policy in ZERO_POLICIES:
+            plus, minus = sign_projectors(obs, policy)
+            ref_plus, ref_minus = _tolerance_sign_projectors(ref, policy)
+            assert np.max(np.abs(plus - ref_plus)) < 1e-12
+            assert np.max(np.abs(minus - ref_minus)) < 1e-12
+            if policy != "exclude":
+                assert np.max(np.abs(plus + minus - np.eye(two_s + 1))) < 1e-12
+            else:
+                # the bins miss exactly the m = 0 eigenvector of an integer spin
+                rest = np.eye(two_s + 1) - plus - minus
+                zero = obs.projector_for(0.0) if two_s % 2 == 0 else 0.0
+                assert np.max(np.abs(rest - zero)) < 1e-12
+                assert int(round(np.trace(rest).real)) == (two_s % 2 == 0)
 
 
 def test_clebsch_selection_rules():

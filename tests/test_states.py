@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -291,9 +292,14 @@ def test_state_invariant_validation():
 
 
 def test_non_finite_states_refused():
-    # k theta overflows to inf at k = 2, so exp(i k theta) is NaN
-    with pytest.raises(ValidationError), np.errstate(invalid="ignore"):
-        relative_phase(4, 1e308)
+    # n theta overflows: refused before any exp(i k theta) is formed, so
+    # without a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for theta in (1e308, float("inf"), float("nan")):
+            with pytest.raises(ValidationError):
+                relative_phase(4, theta)
+        relative_phase(1, 1e308)  # k theta = +-5e307 is finite
     nan = float("nan")
     with pytest.raises(ValidationError):
         BipartiteState("mixed", SpinQuantum(1), SpinQuantum(1), rho=np.diag([nan, 1.0, 0, 0]))
@@ -335,6 +341,21 @@ def test_spin_moments_bipartite_against_kron():
         want_mean, want_second = _dense_moments(st.rho, ops)
         assert np.max(np.abs(mean - want_mean)) < 1e-12
         assert np.max(np.abs(second - want_second)) < 1e-12
+
+
+def test_spin_moments_symmetric_against_collective_rep():
+    rng = np.random.default_rng(9)
+    for n in (1, 2, 3, 50, 400):
+        rep = build_spin_rep(SpinQuantum(n))
+        amp = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+        st = SymmetricState(n, amp / np.linalg.norm(amp))
+        mean, second = spin_moments(st)
+        want_mean, want_second = _dense_moments(np.outer(st.amplitudes, st.amplitudes.conj()),
+                                                (rep.sx, rep.sy, rep.sz))
+        assert np.max(np.abs(mean - want_mean)) < 1e-13 * n
+        assert np.max(np.abs(second - want_second)) < 1e-13 * n * n
+    with pytest.raises(ValidationError):
+        spin_moments(SymmetricState(0, np.ones(1)))
 
 
 def test_spin_moments_symmetric_against_pauli_tensor():
