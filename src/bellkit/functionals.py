@@ -194,6 +194,12 @@ def mermin_check(state: BipartiteState, a: UnitVector, b: UnitVector, c: UnitVec
     - "literal": LHS = s |<S_Aa> - <S_Bb>|, which vanishes identically
       on the singlet.
 
+    The inequality is a Bell inequality only for states perfectly
+    anticorrelated along b, B(b) = -A(b); extra["premise_gap"] =
+    <(b.S^A + b.S^B)^2> measures how far the state is from that, and
+    a violation counts only where the gap is at most
+    VIOLATION_TOL max(1, s^2).
+
     margin = LHS - RHS; margin < 0 means violation.
     """
     if state.s_a != state.s_b:
@@ -216,12 +222,14 @@ def mermin_check(state: BipartiteState, a: UnitVector, b: UnitVector, c: UnitVec
     else:
         raise ValidationError(f"unknown reading {reading!r}")
     margin = lhs - rhs
+    both_b = np.concatenate([vb, vb])
+    premise_gap = float(both_b @ second @ both_b)  # <(b.S^A + b.S^B)^2>
     return ViolationReport(
         functional="mermin", value=lhs, bound=rhs, margin=margin,
-        violation=margin < -VIOLATION_TOL,
+        violation=margin < -VIOLATION_TOL and premise_gap <= VIOLATION_TOL * max(1.0, sval ** 2),
         settings=[_vec(a), _vec(b), _vec(c)],
         state_meta=dict(state.meta),
-        extra={"reading": reading, "lhs": lhs, "rhs": rhs})
+        extra={"reading": reading, "lhs": lhs, "rhs": rhs, "premise_gap": premise_gap})
 
 
 def mermin_coplanar_vectors(theta: float):
@@ -243,18 +251,6 @@ def drummond_margin(j_bosons: int, theta: float) -> float:
     return 3.0 * g(theta) - g(3.0 * theta) - 2.0
 
 
-def _apply_site_raising(amplitudes: np.ndarray, n: int) -> complex:
-    """<psi| tensor_i (sigma_x + i sigma_y) |psi> without materializing
-    the 2^n x 2^n operator.  sigma_x + i sigma_y maps |down> -> 2 |up>."""
-    vec = amplitudes.copy()
-    for site in range(n):
-        t = vec.reshape((2 ** site, 2, -1))
-        out = np.zeros_like(t)
-        out[:, 0, :] = 2.0 * t[:, 1, :]   # |down> -> 2 |up>
-        vec = out.reshape(-1)
-    return complex(np.vdot(amplitudes, vec))
-
-
 def mabk_value(n: int) -> ViolationReport:
     """MABK combination on the n-party GHZ state.
 
@@ -267,8 +263,9 @@ def mabk_value(n: int) -> ViolationReport:
     if n % 2:
         raise ValidationError("the printed bound 2^(n/2) applies to even n")
     from .states import ghz
-    state = ghz(n)
-    t = _apply_site_raising(state.amplitudes, n)
+    amp = ghz(n).amplitudes
+    # tensor(sigma_x + i sigma_y) = 2^n |up...up><down...down|
+    t = 2 ** n * np.conj(amp[0]) * amp[-1]
     value = float(t.imag)  # (t - conj(t)) / 2i
     bound = 2.0 ** (n / 2)
     margin = value - bound

@@ -8,13 +8,13 @@ the permutation-invariant many-atom inequality.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, DegenerateConditionError, ValidationError
 from .functionals import BellFunctional, CorrelatorTerm, PairEventTerm
+from .states import outcome_probabilities
 
 ENUM_CAP = 10 ** 8
 _CHUNK = 4096
@@ -260,19 +260,6 @@ def symmetric_lhv_min(n_atoms: int):
     return float(best), witness
 
 
-def symmetric_lhv_min_bruteforce(n_atoms: int):
-    """4^N brute force over independent per-atom strategies (tests only)."""
-    best = None
-    for combo in itertools.product(((1, 1), (1, -1), (-1, 1), (-1, -1)), repeat=n_atoms):
-        p = sum(a0 for a0, _ in combo)
-        q = sum(a1 for _, a1 in combo)
-        r = sum(a0 * a1 for a0, a1 in combo)
-        w = 2 * p + p * q - r + n_atoms + (p ** 2 + q ** 2) / 2.0
-        if best is None or w < best:
-            best = w
-    return best
-
-
 def model_from_separable(components, obs_a_list, obs_b_list) -> LhvModel:
     """LHV model induced by a separable mixture: the component label R
     is the hidden variable, response tables are the per-factor quantum
@@ -287,12 +274,8 @@ def model_from_separable(components, obs_a_list, obs_b_list) -> LhvModel:
     scenario = Scenario(outcomes_a=outcomes_a, outcomes_b=outcomes_b)
     resp_a, resp_b = [], []
     for _, rho_a, rho_b in comps:
-        tables_a = [np.array([max(float(np.real(np.trace(rho_a @ proj))), 0.0)
-                              for _, proj in obs.eigenprojectors])
-                    for obs in obs_a_list]
-        tables_b = [np.array([max(float(np.real(np.trace(rho_b @ proj))), 0.0)
-                              for _, proj in obs.eigenprojectors])
-                    for obs in obs_b_list]
+        tables_a = [np.maximum(outcome_probabilities(rho_a, obs), 0.0) for obs in obs_a_list]
+        tables_b = [np.maximum(outcome_probabilities(rho_b, obs), 0.0) for obs in obs_b_list]
         resp_a.append([t / t.sum() for t in tables_a])
         resp_b.append([t / t.sum() for t in tables_b])
     return LhvModel(scenario=scenario, weights=weights,

@@ -123,8 +123,7 @@ class HermitianObservable:
 
     Column k of `eigenvectors` has eigenvalue `levels[k]`, ascending;
     degenerate columns share one level, so each distinct level is one
-    outcome.  Projectors are built only when asked for (d^3 memory for
-    all of them).
+    outcome, and its probability is a sum over its columns.
     """
 
     matrix: np.ndarray
@@ -159,21 +158,17 @@ class HermitianObservable:
         """Distinct eigenvalues, ascending."""
         return np.unique(self.levels)
 
-    @functools.cached_property
-    def eigenprojectors(self) -> tuple:
-        """((eigenvalue, projector), ...) in outcome_spectrum order."""
-        return tuple((float(lam), self._projector(self.levels == lam))
-                     for lam in self.outcome_spectrum)
+    @property
+    def outcome_masks(self) -> np.ndarray:
+        """masks[i, k] is True when column k has outcome outcome_spectrum[i]."""
+        return self.levels == self.outcome_spectrum[:, None]
 
-    def _projector(self, columns: np.ndarray) -> np.ndarray:
-        vecs = self.eigenvectors[:, columns]
-        return vecs @ vecs.conj().T
-
-    def projector_for(self, outcome: float, tol: float = 1e-8) -> np.ndarray:
-        for lam in self.outcome_spectrum:
-            if abs(lam - outcome) <= tol:
-                return self._projector(self.levels == lam)
-        raise ValidationError(f"outcome {outcome} not in spectrum {self.outcome_spectrum}")
+    def outcome_index(self, outcome: float) -> int:
+        """Index in outcome_spectrum of the first outcome within 1e-8 of `outcome`."""
+        hits = np.flatnonzero(np.abs(self.outcome_spectrum - outcome) <= 1e-8)
+        if len(hits) == 0:
+            raise ValidationError(f"outcome {outcome} not in spectrum {self.outcome_spectrum}")
+        return int(hits[0])
 
 
 @functools.lru_cache(maxsize=_EIGENBASIS_CACHE)
@@ -214,7 +209,8 @@ def sign_projectors(obs: HermitianObservable, zero_policy: str = "plus"):
     zero = obs.levels == 0
     plus = (obs.levels > 0) | (zero & (zero_policy == "plus"))
     minus = (obs.levels < 0) | (zero & (zero_policy == "minus"))
-    return obs._projector(plus), obs._projector(minus)
+    v_plus, v_minus = obs.eigenvectors[:, plus], obs.eigenvectors[:, minus]
+    return v_plus @ v_plus.conj().T, v_minus @ v_minus.conj().T
 
 
 def _check_half_integer(name, value):

@@ -183,11 +183,7 @@ def relative_phase(n: int, theta: float) -> BipartiteState:
 
 def flip_operator(d: int) -> np.ndarray:
     """V |k>|l> = |l>|k> on the d x d product space."""
-    v = np.zeros((d * d, d * d))
-    for k in range(d):
-        for l in range(d):
-            v[l * d + k, k * d + l] = 1.0
-    return v
+    return np.eye(d * d)[np.arange(d * d).reshape(d, d).T.ravel()]
 
 
 def werner(n: int, phi: float) -> BipartiteState:
@@ -358,37 +354,55 @@ def correlator(state: BipartiteState, obs_a, obs_b) -> float:
     return expect_product(state, as_matrix(obs_a), as_matrix(obs_b))
 
 
-def joint_probability(state: BipartiteState, obs_a: HermitianObservable,
-                      obs_b: HermitianObservable, alpha: float, beta: float) -> float:
-    """P(alpha, beta) = Tr((Pi_alpha (x) Pi_beta) rho)."""
-    pa = obs_a.projector_for(alpha)
-    pb = obs_b.projector_for(beta)
-    p = expect_product(state, pa, pb)
-    return float(min(max(p, 0.0), 1.0))
+def _column_probabilities(state: BipartiteState, obs_a: HermitianObservable,
+                          obs_b: HermitianObservable) -> np.ndarray:
+    """P(column k of obs_a, column l of obs_b) = <v_k w_l| rho |v_k w_l>,
+    which is |V_a^dagger psi V_b^*|^2 for a pure state."""
+    va, vb = obs_a.eigenvectors, obs_b.eigenvectors
+    d_a, d_b = state.dims
+    if va.shape != (d_a, d_a) or vb.shape != (d_b, d_b):
+        raise ValidationError("observable dimensions do not match the state")
+    if state.kind == "pure":
+        return np.abs(va.conj().T @ state.psi @ vb.conj()) ** 2
+    r = state.rho.reshape(d_a, d_b, d_a, d_b)
+    return np.einsum("ik,jl,ijmn,mk,nl->kl", va.conj(), vb.conj(), r, va, vb,
+                     optimize=True).real
 
 
 def joint_distribution(state: BipartiteState, obs_a: HermitianObservable,
                        obs_b: HermitianObservable):
     """(alphas, betas, table) with table[i, j] = P(alphas[i], betas[j])."""
-    alphas = obs_a.outcome_spectrum
-    betas = obs_b.outcome_spectrum
-    table = np.empty((len(alphas), len(betas)))
-    for i, (_, pa) in enumerate(obs_a.eigenprojectors):
-        for j, (_, pb) in enumerate(obs_b.eigenprojectors):
-            table[i, j] = expect_product(state, pa, pb)
-    return alphas, betas, np.clip(table, 0.0, 1.0)
+    table = obs_a.outcome_masks @ _column_probabilities(state, obs_a, obs_b) @ obs_b.outcome_masks.T
+    return obs_a.outcome_spectrum, obs_b.outcome_spectrum, np.clip(table, 0.0, 1.0)
+
+
+def joint_probability(state: BipartiteState, obs_a: HermitianObservable,
+                      obs_b: HermitianObservable, alpha: float, beta: float) -> float:
+    """P(alpha, beta) = Tr((Pi_alpha (x) Pi_beta) rho)."""
+    table = joint_distribution(state, obs_a, obs_b)[2]
+    return float(table[obs_a.outcome_index(alpha), obs_b.outcome_index(beta)])
+
+
+def outcome_probabilities(rho: np.ndarray, obs: HermitianObservable) -> np.ndarray:
+    """P(outcome) in outcome_spectrum order for a one-subsystem density
+    matrix: the diagonal of V^dagger rho V summed over each outcome's columns."""
+    vecs = obs.eigenvectors
+    if vecs.shape != rho.shape:
+        raise ValidationError("observable dimension does not match the subsystem")
+    return obs.outcome_masks @ np.sum(vecs.conj() * (rho @ vecs), axis=0).real
 
 
 def marginal_probability(state: BipartiteState, obs: HermitianObservable,
                          outcome: float, side: str) -> float:
-    proj = obs.projector_for(outcome)
-    return float(min(max(expect_side(state, proj, side), 0.0), 1.0))
+    p = outcome_probabilities(state.reduced(side), obs)[obs.outcome_index(outcome)]
+    return float(min(max(p, 0.0), 1.0))
 
 
 def conditioned_state(state: BipartiteState, obs_a: HermitianObservable,
                       alpha: float) -> BipartiteState:
     """State after measuring obs_a on subsystem A with outcome alpha."""
-    proj = obs_a.projector_for(alpha)
+    vecs = obs_a.eigenvectors[:, obs_a.outcome_masks[obs_a.outcome_index(alpha)]]
+    proj = vecs @ vecs.conj().T
     d_a, d_b = state.dims
     if state.kind == "pure":
         psi = proj @ state.psi
@@ -408,12 +422,6 @@ def conditioned_state(state: BipartiteState, obs_a: HermitianObservable,
                           meta=dict(state.meta, conditioned_on=alpha))
 
 
-def _setting_observable(state: BipartiteState, setting: MeasurementSetting):
-    sq = state.s_a if setting.side == "A" else state.s_b
-    rep = build_spin_rep(sq)
-    return spin_component(rep, setting.direction)
-
-
 def binned_joint_probability(state: BipartiteState, setting_a: MeasurementSetting,
                              setting_b: MeasurementSetting) -> np.ndarray:
     """2x2 table [[P(+,+), P(+,-)], [P(-,+), P(-,-)]] for sign-binned
@@ -422,8 +430,8 @@ def binned_joint_probability(state: BipartiteState, setting_a: MeasurementSettin
         raise ValidationError("settings must address different subsystems")
     if setting_a.side == "B":
         setting_a, setting_b = setting_b, setting_a
-    obs_a = _setting_observable(state, setting_a)
-    obs_b = _setting_observable(state, setting_b)
+    obs_a = spin_component(build_spin_rep(state.s_a), setting_a.direction)
+    obs_b = spin_component(build_spin_rep(state.s_b), setting_b.direction)
     pa_p, pa_m = sign_projectors(obs_a, setting_a.zero_policy)
     pb_p, pb_m = sign_projectors(obs_b, setting_b.zero_policy)
     table = np.array([

@@ -1,0 +1,44 @@
+"""Reference implementations that tests compare bellkit against, and
+the observables they are compared on."""
+
+import itertools
+
+import numpy as np
+
+from bellkit.spin import HermitianObservable
+
+
+def symmetric_lhv_min_bruteforce(n_atoms: int):
+    """4^N brute force over independent per-atom strategies."""
+    best = None
+    for combo in itertools.product(((1, 1), (1, -1), (-1, 1), (-1, -1)), repeat=n_atoms):
+        p = sum(a0 for a0, _ in combo)
+        q = sum(a1 for _, a1 in combo)
+        r = sum(a0 * a1 for a0, a1 in combo)
+        w = 2 * p + p * q - r + n_atoms + (p ** 2 + q ** 2) / 2.0
+        if best is None or w < best:
+            best = w
+    return best
+
+
+def eigh_projectors(matrix):
+    """[(level, projector), ...] ascending, from a dense eigh of `matrix`;
+    eigenvalues within 1e-9 of the spectral norm form one level, their
+    mean, as in HermitianObservable.from_matrix."""
+    evals, evecs = np.linalg.eigh(matrix)
+    tol = 1e-9 * max(float(np.max(np.abs(evals))), 1e-3)
+    groups = [[0]]
+    for k in range(1, len(evals)):
+        if evals[k] - evals[groups[-1][0]] <= tol:
+            groups[-1].append(k)
+        else:
+            groups.append([k])
+    return [(float(np.mean(evals[g])), evecs[:, g] @ evecs[:, g].conj().T) for g in groups]
+
+
+def degenerate_observable(d, rng):
+    """`from_matrix` observable in a random basis with levels 2, -1, 2,
+    0.5, -1, 2, ..., so level 2 is degenerate from d = 3 on."""
+    basis = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    levels = np.resize([2.0, -1.0, 2.0, 0.5, -1.0], d)
+    return HermitianObservable.from_matrix(basis @ np.diag(levels) @ basis.conj().T)

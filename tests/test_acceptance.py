@@ -49,7 +49,6 @@ from bellkit.lhv import (
     lhv_model_eval,
     model_from_separable,
     symmetric_lhv_min,
-    symmetric_lhv_min_bruteforce,
     two_setting_spin_scenario,
 )
 from bellkit.functionals import tura_value
@@ -62,6 +61,7 @@ from bellkit.search import (
 )
 
 from conftest import ACCEPTANCE_LINES
+from reference import eigh_projectors, symmetric_lhv_min_bruteforce
 
 EZ = UnitVector(0.0, 0.0, 1.0)
 EX = UnitVector(1.0, 0.0, 0.0)
@@ -423,13 +423,11 @@ def test_criterion_12_measurement_theory():
     obs_b = [spin_component(half, dirs[2]), spin_component(half, dirs[3])]
     model = model_from_separable(comps, obs_a, obs_b)
     for i, j in itertools.product((0, 1), (0, 1)):
-        for alpha in obs_a[i].outcome_spectrum:
-            for beta in obs_b[j].outcome_spectrum:
+        for alpha, pa in eigh_projectors(obs_a[i].matrix):
+            for beta, pb in eigh_projectors(obs_b[j].matrix):
                 pm = lhv_model_eval(model, "joint", setting_a=i, setting_b=j,
                                     alpha=alpha, beta=beta)
-                pq = expect_product(sep, obs_a[i].projector_for(alpha),
-                                    obs_b[j].projector_for(beta))
-                assert abs(pm - pq) < 1e-9
+                assert abs(pm - expect_product(sep, pa, pb)) < 1e-9
 
     for _ in range(50):
         two = int(rng.integers(1, 5))

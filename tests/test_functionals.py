@@ -29,6 +29,7 @@ from bellkit.functionals import (
     reid_ratio,
     tura_value,
 )
+from reference import eigh_projectors
 
 EZ = UnitVector(0.0, 0.0, 1.0)
 EX = UnitVector(1.0, 0.0, 0.0)
@@ -134,6 +135,36 @@ def test_mermin_absolute_reading_is_sharper():
     assert ab.violation
     with pytest.raises(ValidationError):
         mermin_check(st, *mermin_vectors(theta), reading="bogus")
+
+
+def test_mermin_premise_gap():
+    # a product state with a = b = c = z: LHS 0 < RHS 2, but B(z) = A(z)
+    # instead of -A(z), so it is not a violation; the gap is (1 + 1)^2
+    up_up = rm_weighted(SpinQuantum(2), [1.0, 0.0, 0.0])
+    for reading in ("squared_difference", "absolute_of_difference", "literal"):
+        rep = mermin_check(up_up, EZ, EZ, EZ, reading)
+        assert rep.margin < -1.0 and not rep.violation
+        assert abs(rep.extra["premise_gap"] - 4.0) < 1e-12
+    # the singlet is anticorrelated along every b
+    rng = np.random.default_rng(5)
+    for two_s in (1, 2, 7, 40, 100):
+        b = _random_direction(rng)
+        rep = mermin_check(singlet(two_s), _random_direction(rng), b, _random_direction(rng))
+        assert abs(rep.extra["premise_gap"]) <= 1e-9
+
+
+def test_mermin_absolute_reading_against_dense_projectors():
+    # s = 20: s sum |alpha - beta| P(alpha, beta) with P from eigh
+    # projectors, <psi| P_a (x) P_b |psi> = Tr(psi^dagger P_a psi P_b^T)
+    rep = build_spin_rep(SpinQuantum(40))
+    a, b = UnitVector.from_angles(0.3, 0.2), UnitVector.from_angles(1.3, 2.2)
+    for st in (maximally_entangled(40), singlet(40)):
+        want = 20.0 * sum(
+            abs(alpha - beta) * np.trace(st.psi.conj().T @ pa @ st.psi @ pb.T).real
+            for alpha, pa in eigh_projectors(rep.component(a))
+            for beta, pb in eigh_projectors(rep.component(b)))
+        got = mermin_check(st, a, b, EZ, "absolute_of_difference").value
+        assert abs(got - want) < 1e-12 * max(1.0, abs(want))
 
 
 def test_drummond_margin():
@@ -402,6 +433,8 @@ def test_mermin_and_quadrature_match_dense_operators():
         assert abs(rep_sq.bound - ex((side_a(a) + side_a(b)) @ side_b(c))) < 1e-10
         assert abs(rep_sq.value - ex(delta @ delta)) < 1e-10  # s = 1
         assert abs(mermin_check(st, a, b, c, "literal").value - abs(ex(delta))) < 1e-10
+        both = side_a(b) + side_b(b)
+        assert abs(rep_sq.extra["premise_gap"] - ex(both @ both)) < 1e-10
         ey = UnitVector(0.0, 1.0, 0.0)
         sx, sy = side_a(EX) + side_b(EX), side_a(ey) + side_b(ey)
         want = 0.25 + ex(sx @ sx) - ex(sx) ** 2 + ex(sy @ sy) - ex(sy) ** 2

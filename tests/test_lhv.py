@@ -23,9 +23,10 @@ from bellkit.lhv import (
     lhv_model_eval,
     model_from_separable,
     symmetric_lhv_min,
-    symmetric_lhv_min_bruteforce,
     two_setting_spin_scenario,
 )
+from bellkit.states import expect_product
+from reference import degenerate_observable, eigh_projectors, symmetric_lhv_min_bruteforce
 
 
 def random_model(scenario, rng, n_lambda=4):
@@ -177,13 +178,10 @@ def test_separable_model_reproduces_quantum_statistics():
     model = model_from_separable(comps, obs_a, obs_b)
     for i in (0, 1):
         for j in (0, 1):
-            for ia, alpha in enumerate(obs_a[i].outcome_spectrum):
-                for ib, beta in enumerate(obs_b[j].outcome_spectrum):
+            for alpha, pa in eigh_projectors(obs_a[i].matrix):
+                for beta, pb in eigh_projectors(obs_b[j].matrix):
                     pm = lhv_model_eval(model, "joint", setting_a=i, setting_b=j,
                                         alpha=alpha, beta=beta)
-                    pa = obs_a[i].projector_for(alpha)
-                    pb = obs_b[j].projector_for(beta)
-                    from bellkit.states import expect_product
                     pq = expect_product(state, pa, pb)
                     assert abs(pm - pq) < 1e-10
     # CHSH value through the model equals the quantum value
@@ -193,6 +191,32 @@ def test_separable_model_reproduces_quantum_statistics():
                - lhv_model_eval(model, "mean", setting_a=1, setting_b=1))
     s_quantum = chsh_value(state, dirs[0], dirs[1], dirs[2], dirs[3]).value
     assert abs(s_model - s_quantum) < 1e-10
+
+
+def test_separable_model_tables_against_eigh_projectors():
+    # unequal spins and degenerate from_matrix observables: each response
+    # table is Tr(rho_R P) over the eigh projectors, and the model's
+    # joints are the mixture's np.kron traces
+    rng = np.random.default_rng(78)
+    comps = [(w, _random_density(3, rng), _random_density(4, rng)) for w in (0.2, 0.5, 0.3)]
+    rep_a, rep_b = build_spin_rep(SpinQuantum(2)), build_spin_rep(SpinQuantum(3))
+    obs_a = [spin_component(rep_a, UnitVector.from_angles(0.4, 1.9)), degenerate_observable(3, rng)]
+    obs_b = [degenerate_observable(4, rng), spin_component(rep_b, UnitVector.from_angles(2.6, 0.3))]
+    model = model_from_separable(comps, obs_a, obs_b)
+    for lam, (_, rho_a, rho_b) in enumerate(comps):
+        for resp, rho, obs_list in ((model.response_a, rho_a, obs_a),
+                                    (model.response_b, rho_b, obs_b)):
+            for i, obs in enumerate(obs_list):
+                want = [np.trace(rho @ p).real for _, p in eigh_projectors(obs.matrix)]
+                assert np.max(np.abs(resp[lam][i] - want)) < 1e-12
+    rho = separable_mixture(comps).density()
+    for i in (0, 1):
+        for j in (0, 1):
+            for alpha, pa in eigh_projectors(obs_a[i].matrix):
+                for beta, pb in eigh_projectors(obs_b[j].matrix):
+                    pm = lhv_model_eval(model, "joint", setting_a=i, setting_b=j,
+                                        alpha=alpha, beta=beta)
+                    assert abs(pm - np.trace(rho @ np.kron(pa, pb)).real) < 1e-12
 
 
 def _symmetric_lhv_min_compositions(n):

@@ -5,7 +5,7 @@ import pytest
 
 from bellkit.errors import CapacityError, ValidationError
 from bellkit.spin import SpinQuantum
-from bellkit.states import maximally_entangled, singlet
+from bellkit.states import maximally_entangled, separable_mixture, singlet
 from bellkit.search import (
     ScanSpec,
     SearchConfig,
@@ -87,6 +87,16 @@ def test_mermin_coplanar_vectors():
 def test_mermin_optimizer_finds_window():
     rep = optimize_settings(singlet(2), "mermin", SearchConfig(seed=2, restarts=8))
     assert rep.violation  # s = 1 singlet violates inside 0 < sin(theta) < 1/2
+
+
+def test_mermin_optimizer_on_product_state_reports_no_violation():
+    # |up>|up> is not anticorrelated along any b, so a negative margin
+    # found by the search is not a Bell violation
+    up = np.diag([1.0, 0.0])
+    rep = optimize_settings(separable_mixture([(1.0, up, up)]), "mermin",
+                            SearchConfig(seed=2, restarts=4))
+    assert rep.margin < -1e-3
+    assert not rep.violation and rep.extra["premise_gap"] >= 0.5 - 1e-9
 
 
 def test_reid_optimizer_small_n():

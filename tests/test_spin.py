@@ -14,6 +14,7 @@ from bellkit.spin import (
     sign_projectors,
     spin_component,
 )
+from reference import eigh_projectors
 
 
 def cg_oracle_table(j1, j2, J):
@@ -136,25 +137,37 @@ def test_spin_component_axis_and_spectrum():
     assert np.allclose(tilted.outcome_spectrum, [-1.5, -0.5, 0.5, 1.5], atol=1e-10)
 
 
+def column_projectors(obs):
+    """[(level, projector), ...] from the observable's own columns and
+    outcome grouping."""
+    vecs = obs.eigenvectors
+    return [(lam, vecs[:, cols] @ vecs[:, cols].conj().T)
+            for lam, cols in zip(obs.outcome_spectrum, obs.outcome_masks)]
+
+
 def test_observable_projectors():
     rng = np.random.default_rng(7)
     for _ in range(10):
         a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         h = (a + a.conj().T) / 2
         obs = HermitianObservable.from_matrix(h)
-        total = sum(p for _, p in obs.eigenprojectors)
+        total = sum(p for _, p in column_projectors(obs))
         assert np.max(np.abs(total - np.eye(6))) < 1e-10
-        recon = sum(lam * p for lam, p in obs.eigenprojectors)
+        recon = sum(lam * p for lam, p in column_projectors(obs))
         assert np.max(np.abs(recon - h)) < 1e-10
-        for lam, p in obs.eigenprojectors:
+        for lam, p in column_projectors(obs):
             assert np.max(np.abs(p @ p - p)) < 1e-10
 
 
 def test_degenerate_eigenvalues_grouped():
     obs = HermitianObservable.from_matrix(np.diag([1.0, 1.0, -1.0]))
-    assert len(obs.eigenprojectors) == 2
-    ranks = sorted(int(round(np.trace(p).real)) for _, p in obs.eigenprojectors)
+    assert len(column_projectors(obs)) == 2
+    ranks = sorted(int(round(np.trace(p).real)) for _, p in column_projectors(obs))
     assert ranks == [1, 2]
+    # the outcome lookup tolerates 1e-8 and refuses anything else
+    assert obs.outcome_index(1.0 + 1e-9) == 1 and obs.outcome_index(-1.0) == 0
+    with pytest.raises(ValidationError):
+        obs.outcome_index(0.5)
 
 
 def test_sign_projectors_policies():
@@ -172,13 +185,13 @@ def test_sign_projectors_policies():
         sign_projectors(obs, "bogus")
 
 
-def _tolerance_sign_projectors(obs, zero_policy):
-    """Reference bins: an eigenvalue within 1e-9 of the spectral norm
-    of zero is the zero outcome."""
-    ztol = 1e-9 * max(float(np.max(np.abs(obs.outcome_spectrum))), 1e-3)
-    plus = sum(p for lam, p in obs.eigenprojectors
+def _tolerance_sign_projectors(ref, zero_policy):
+    """Reference bins from eigh_projectors: an eigenvalue within 1e-9 of
+    the spectral norm of zero is the zero outcome."""
+    ztol = 1e-9 * max(max(abs(lam) for lam, _ in ref), 1e-3)
+    plus = sum(p for lam, p in ref
                if lam > ztol or (abs(lam) <= ztol and zero_policy == "plus"))
-    minus = sum(p for lam, p in obs.eigenprojectors
+    minus = sum(p for lam, p in ref
                 if lam < -ztol or (abs(lam) <= ztol and zero_policy == "minus"))
     return plus, minus
 
@@ -198,14 +211,15 @@ def test_rotated_spin_component_against_eigh(two_s):
     m = np.arange(two_s + 1) - two_s / 2.0
     for u in ROTATION_DIRECTIONS:
         obs = spin_component(rep, u)
-        ref = HermitianObservable.from_matrix(rep.component(u))
+        ref = eigh_projectors(rep.component(u))
         assert np.array_equal(obs.levels, m)
         assert np.array_equal(obs.outcome_spectrum, m)
-        assert np.max(np.abs(obs.outcome_spectrum - ref.outcome_spectrum)) < 1e-12 * two_s
+        ref_levels = np.array([lam for lam, _ in ref])
+        assert np.max(np.abs(obs.outcome_spectrum - ref_levels)) < 1e-12 * two_s
         vecs = obs.eigenvectors
         assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(two_s + 1))) < 1e-12
         assert np.max(np.abs(rep.component(u) @ vecs - vecs * m)) < 1e-12 * two_s
-        for (lam, p), (ref_lam, ref_p) in zip(obs.eigenprojectors, ref.eigenprojectors):
+        for (lam, p), (ref_lam, ref_p) in zip(column_projectors(obs), ref):
             assert abs(lam - ref_lam) < 1e-12 * two_s
             assert np.max(np.abs(p - ref_p)) < 1e-12
         for policy in ZERO_POLICIES:
@@ -218,7 +232,7 @@ def test_rotated_spin_component_against_eigh(two_s):
             else:
                 # the bins miss exactly the m = 0 eigenvector of an integer spin
                 rest = np.eye(two_s + 1) - plus - minus
-                zero = obs.projector_for(0.0) if two_s % 2 == 0 else 0.0
+                zero = next(p for lam, p in ref if abs(lam) < 0.5) if two_s % 2 == 0 else 0.0
                 assert np.max(np.abs(rest - zero)) < 1e-12
                 assert int(round(np.trace(rest).real)) == (two_s % 2 == 0)
 

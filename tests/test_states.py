@@ -34,6 +34,7 @@ from bellkit.states import (
     uncertainty_margin,
     werner,
 )
+from reference import degenerate_observable, eigh_projectors
 
 RNG = np.random.default_rng(2024)
 
@@ -71,6 +72,12 @@ def test_flip_operator():
     ev = np.linalg.eigvalsh(v)
     assert np.allclose(np.sort(np.abs(ev)), 1.0)
     assert set(np.round(ev).astype(int)) == {-1, 1}
+    for d in range(1, 7):  # against the entry-by-entry construction
+        want = np.zeros((d * d, d * d))
+        for k in range(d):
+            for l in range(d):
+                want[l * d + k, k * d + l] = 1.0
+        assert np.array_equal(flip_operator(d), want)
 
 
 def test_werner_invariants():
@@ -191,6 +198,51 @@ def test_joint_distribution_normalization():
     assert table.min() >= 0.0
     # single entries match joint_probability
     assert abs(table[0, 1] - joint_probability(st, oa, ob, alphas[0], betas[1])) < 1e-12
+
+
+def test_outcome_readers_against_kron_projectors():
+    # every outcome reader against eigh projectors of the observable's
+    # matrix and traces with np.kron: pure and mixed states, unequal
+    # spins, degenerate from_matrix observables
+    rng = np.random.default_rng(606)
+    comps = [(0.35, random_density(3, rng), random_density(4, rng)),
+             (0.65, random_density(3, rng), random_density(4, rng))]
+    for st in (random_pure_state(SpinQuantum(2), SpinQuantum(3), rng), separable_mixture(comps),
+               werner(2, -0.3), maximally_entangled(3)):
+        (d_a, d_b), rho = st.dims, st.density()
+        rep_a, rep_b = build_spin_rep(st.s_a), build_spin_rep(st.s_b)
+        u, v = UnitVector.from_angles(0.7, 2.3), UnitVector.from_angles(2.2, -0.9)
+        for oa, ob in ((spin_component(rep_a, u), spin_component(rep_b, v)),
+                       (degenerate_observable(d_a, rng), degenerate_observable(d_b, rng)),
+                       (spin_component(rep_a, v), degenerate_observable(d_b, rng))):
+            ref_a, ref_b = eigh_projectors(oa.matrix), eigh_projectors(ob.matrix)
+            alphas, betas, table = joint_distribution(st, oa, ob)
+            assert np.max(np.abs(alphas - [lam for lam, _ in ref_a])) < 1e-12
+            assert np.max(np.abs(betas - [lam for lam, _ in ref_b])) < 1e-12
+            for beta, pb in ref_b:
+                want = np.trace(rho @ np.kron(np.eye(d_a), pb)).real
+                assert abs(marginal_probability(st, ob, beta, "B") - want) < 1e-12
+            for i, (alpha, pa) in enumerate(ref_a):
+                big = np.kron(pa, np.eye(d_b))
+                p_alpha = np.trace(rho @ big).real
+                assert abs(marginal_probability(st, oa, alpha, "A") - p_alpha) < 1e-12
+                for j, (beta, pb) in enumerate(ref_b):
+                    want = np.trace(rho @ np.kron(pa, pb)).real
+                    assert abs(table[i, j] - want) < 1e-12
+                    assert abs(joint_probability(st, oa, ob, alpha, beta) - want) < 1e-12
+                if p_alpha > 1e-8:
+                    cond = conditioned_state(st, oa, alpha)
+                    assert cond.kind == st.kind
+                    assert np.max(np.abs(cond.density() - big @ rho @ big / p_alpha)) < 1e-12
+                else:
+                    with pytest.raises(DegenerateConditionError):
+                        conditioned_state(st, oa, alpha)
+        with pytest.raises(ValidationError):
+            joint_probability(st, oa, ob, 0.25, betas[0])  # not an outcome
+        with pytest.raises(ValidationError):
+            joint_distribution(st, degenerate_observable(d_a + 1, rng), ob)
+        with pytest.raises(ValidationError):
+            marginal_probability(st, degenerate_observable(d_b + 1, rng), 2.0, "B")
 
 
 def test_bayes_identity():
