@@ -109,9 +109,8 @@ def _check(command: str, spec: dict, seed: int | None = None):
 def selftest() -> bool:
     """Compact invariant suite: spin algebra, state constructors,
     probability identities, and the CHSH enumeration bound."""
-    from .spin import build_spin_rep, clebsch_gordan, spin_component
+    from .spin import SpinQuantum as SQ, build_spin_rep, clebsch_gordan, spin_component
     from .states import correlator, joint_distribution, maximally_entangled as me
-    from .spin import SpinQuantum as SQ
 
     ok = True
 
@@ -154,9 +153,7 @@ def _round_sig(x: float, sig: int = 12) -> float:
 
 
 def _round_tree(obj):
-    if isinstance(obj, float):
-        return _round_sig(obj)
-    if isinstance(obj, (np.floating,)):
+    if isinstance(obj, (float, np.floating)):
         return _round_sig(float(obj))
     if isinstance(obj, (np.integer,)):
         return int(obj)
@@ -164,10 +161,8 @@ def _round_tree(obj):
         return bool(obj)
     if isinstance(obj, dict):
         return {k: _round_tree(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple, np.ndarray)):
         return [_round_tree(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_round_tree(v) for v in obj.tolist()]
     return obj
 
 
@@ -182,12 +177,8 @@ def emit_report(envelope: dict, path: str | None, fmt: str = "json"):
             raise ValidationError("csv output needs a scan table")
         cols = [k for k in rows[0] if k != "settings"]
         lines = [",".join(cols)]
-        for row in rows:
-            cells = []
-            for c in cols:
-                v = row[c]
-                cells.append(f"{v:.12g}" if isinstance(v, float) else str(v))
-            lines.append(",".join(cells))
+        cell = lambda v: f"{v:.12g}" if isinstance(v, float) else str(v)
+        lines += [",".join(cell(row[c]) for c in cols) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
         raise ValidationError(f"unknown format {fmt!r}")

@@ -51,8 +51,7 @@ def two_setting_spin_scenario(two_s_a: int, two_s_b: int) -> Scenario:
     """Two spin-component settings per side, outcomes -s..+s."""
     for two_s in (two_s_a, two_s_b):  # a side too large to enumerate, before its tuples
         check_enum_cap(max(two_s + 1, 0) ** 2)
-    out_a = tuple((two_s_a / 2.0) - k for k in range(two_s_a + 1))
-    out_b = tuple((two_s_b / 2.0) - k for k in range(two_s_b + 1))
+    out_a, out_b = (tuple(two / 2.0 - k for k in range(two + 1)) for two in (two_s_a, two_s_b))
     return Scenario(outcomes_a=(out_a, out_a), outcomes_b=(out_b, out_b))
 
 
@@ -160,11 +159,10 @@ def functional_model_value(model: LhvModel, functional: BellFunctional) -> float
                                                 setting_a=term.setting_a,
                                                 setting_b=term.setting_b)
         elif isinstance(term, PairEventTerm):
-            acc = 0.0
-            for alpha, beta in term.pairs:
-                acc += lhv_model_eval(model, "joint", setting_a=term.setting_a,
-                                      setting_b=term.setting_b, alpha=alpha, beta=beta)
-            total += term.coef * acc
+            total += term.coef * sum(
+                lhv_model_eval(model, "joint", setting_a=term.setting_a,
+                               setting_b=term.setting_b, alpha=alpha, beta=beta)
+                for alpha, beta in term.pairs)
     return total
 
 
@@ -203,8 +201,7 @@ def enumerate_lhv_bound(scenario: Scenario, functional: BellFunctional,
     check_enum_cap(n_a * n_b)
     strat_a = _strategies(scenario.outcomes_a)
     strat_b = _strategies(scenario.outcomes_b)
-    best_val = None
-    best_idx = None
+    best_val = best_idx = None
     # chunk the A side so the value matrix stays bounded in memory
     for start in range(0, n_a, _CHUNK):
         block_a = strat_a[start:start + _CHUNK]

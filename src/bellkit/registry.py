@@ -172,27 +172,62 @@ def build_state(family: str, params: dict):
 
 def _over_vectors(count: int, coplanar: bool, objective, report):
     """Search over `count` unit vectors: one angle each in the x-z plane
-    when coplanar, else a polar and an azimuthal angle each."""
+    when coplanar, else a polar and an azimuthal angle each.  The
+    objective gets them as the rows of one (count, 3) array, rewritten
+    in place at each evaluation; `report` gets them as UnitVectors."""
+    rows = np.zeros((count, 3))
+
+    def directions(x):
+        polar, azimuth = (x, 0.0) if coplanar else (x[0::2], x[1::2])
+        sin_polar = np.sin(polar)
+        np.multiply(sin_polar, np.cos(azimuth), out=rows[:, 0])
+        np.multiply(sin_polar, np.sin(azimuth), out=rows[:, 1])
+        np.cos(polar, out=rows[:, 2])
+        return rows
+
     def vectors(x):
         if coplanar:
             return [UnitVector(math.sin(a), 0.0, math.cos(a)) for a in x]
         return [UnitVector.from_angles(x[2 * i], x[2 * i + 1]) for i in range(count)]
 
     ranges = [(0.0, 2 * math.pi)] if coplanar else [(0.0, math.pi), (0.0, 2 * math.pi)]
-    return ranges * count, lambda x: objective(vectors(x)), lambda x: report(vectors(x))
+    return ranges * count, lambda x: objective(directions(x)), lambda x: report(*vectors(x))
 
 
 def _chsh_search(state: BipartiteState, coplanar: bool):
-    # correlators are bilinear in the directions, so precompute the 3x3
-    # spin correlation matrix once and evaluate S as u^T T v sums
-    t = spin_correlation_matrix(state)
-    bound = 0.5 * state.s_a.two_s * state.s_b.two_s
+    # S is bilinear in the directions: g[i, j] = u_i^T T v_j
+    t, bound = spin_correlation_matrix(state), 0.5 * state.s_a.two_s * state.s_b.two_s
 
-    def objective(vs):
-        u1, u2, v1, v2 = (v.as_array() for v in vs)
-        return abs(u1 @ t @ v1 + u1 @ t @ v2 + u2 @ t @ v1 - u2 @ t @ v2) - bound
+    def objective(d):
+        g = d[:2] @ t @ d[2:].T
+        return abs(g[0, 0] + g[0, 1] + g[1, 0] - g[1, 1]) - bound
 
-    return _over_vectors(4, coplanar, objective, lambda vs: chsh_value(state, *vs))
+    return _over_vectors(4, coplanar, objective, lambda *vs: chsh_value(state, *vs))
+
+
+def _mermin_search(state: BipartiteState, coplanar: bool):
+    # -margin of the squared_difference reading: violation when LHS < RHS
+    if state.s_a != state.s_b:
+        raise ValidationError("mermin_check needs equal subsystem spins")
+    sval, second = state.s_a.s, states.spin_moments(state)[1]
+
+    def objective(d):
+        delta = np.concatenate([d[0], -d[1]])
+        return float((d[0] + d[1]) @ second[:3, 3:] @ d[2] - sval * (delta @ second @ delta))
+
+    return _over_vectors(3, coplanar, objective, lambda *vs: mermin_check(state, *vs))
+
+
+def _tura_search(state: SymmetricState, coplanar: bool):
+    # -W, tura_value's terms summed: W = N (1 - n0.n1) + 4 n0.<J>
+    # + 2 (n0 + n1)^T second (n0 + n1); violation when W < 0
+    n, (mean, second) = state.n_atoms, states.spin_moments(state)
+
+    def objective(d):
+        both = d[0] + d[1]
+        return -float(n * (1.0 - d[0] @ d[1]) + 4.0 * (d[0] @ mean) + 2.0 * (both @ second @ both))
+
+    return _over_vectors(2, coplanar, objective, lambda *vs: tura_value(state, *vs))
 
 
 def _reid_search(state: BipartiteState, coplanar: bool):
@@ -303,9 +338,7 @@ FUNCTIONALS = {
         evaluate=lambda st, s, p: chsh_value(st, *s.values()).to_dict(),
         optimize=_chsh_search, lhv_bound=_lhv_chsh, scan={}),
     "mermin": Functional(
-        BipartiteState, settings=_mermin_settings, evaluate=_mermin,
-        optimize=lambda st, coplanar: _over_vectors(  # violation when LHS < RHS
-            3, coplanar, lambda vs: -mermin_check(st, *vs).margin, lambda vs: mermin_check(st, *vs)),
+        BipartiteState, settings=_mermin_settings, evaluate=_mermin, optimize=_mermin_search,
         scan={"theta_geometry": lambda x: {"theta": x},
               "sin_theta_geometry": lambda x: {"theta": _asin(x)}}),
     "reid": Functional(
@@ -314,9 +347,7 @@ FUNCTIONALS = {
         evaluate=lambda st, s, p: reid_ratio(st, *s.values()).to_dict(), optimize=_reid_search),
     "tura": Functional(
         SymmetricState, settings=record(dict.fromkeys(("n0", "n1"), VEC3)),
-        evaluate=lambda st, s, p: tura_value(st, *s.values()).to_dict(),
-        optimize=lambda st, coplanar: _over_vectors(  # violation when W < 0
-            2, coplanar, lambda vs: -tura_value(st, *vs).value, lambda vs: tura_value(st, *vs))),
+        evaluate=lambda st, s, p: tura_value(st, *s.values()).to_dict(), optimize=_tura_search),
     "cfrd": Functional(BipartiteState, evaluate=_cfrd),
     "cfrd_quadrature": Functional(BipartiteState, evaluate=_cfrd_quadrature),
     "drummond": Functional(params=record({"J": INT, "theta": FLOAT}), evaluate=_drummond),

@@ -112,9 +112,7 @@ def build_spin_rep(s: SpinQuantum, dim_cap: int = DIM_CAP) -> SpinRep:
     sz = np.diag(s.s - np.arange(d)).astype(complex)  # basis order m = s ... -s
     sp = np.diag(_ladder_coefficients(s.two_s), 1).astype(complex)
     sm = sp.conj().T
-    sx = (sp + sm) / 2.0
-    sy = (sp - sm) / 2j
-    return SpinRep(s=s, sx=sx, sy=sy, sz=sz)
+    return SpinRep(s=s, sx=(sp + sm) / 2.0, sy=(sp - sm) / 2j, sz=sz)
 
 
 @dataclass(frozen=True)
@@ -230,12 +228,8 @@ def clebsch_gordan(j1, m1, j2, m2, J, M) -> float:
     Condon-Shortley convention, evaluated by the Racah single-sum
     formula with log-factorials, so it stays accurate past j ~ 20.
     """
-    tj1 = _check_half_integer("j1", j1)
-    tm1 = _check_half_integer("m1", m1)
-    tj2 = _check_half_integer("j2", j2)
-    tm2 = _check_half_integer("m2", m2)
-    tJ = _check_half_integer("J", J)
-    tM = _check_half_integer("M", M)
+    tj1, tm1, tj2, tm2, tJ, tM = (_check_half_integer(name, value) for name, value in zip(
+        ("j1", "m1", "j2", "m2", "J", "M"), (j1, m1, j2, m2, J, M)))
     if tj1 < 0 or tj2 < 0 or tJ < 0:
         raise ValidationError("angular momenta must be non-negative")
     if abs(tm1) > tj1 or abs(tm2) > tj2 or abs(tM) > tJ:

@@ -112,10 +112,8 @@ class BipartiteState:
             if side == "A":
                 return self.psi @ self.psi.conj().T
             return self.psi.T @ self.psi.conj()
-        r = self.rho.reshape(d_a, d_b, d_a, d_b)
-        if side == "A":
-            return np.einsum("ajbj->ab", r)
-        return np.einsum("iaib->ab", r)
+        return np.einsum("ajbj->ab" if side == "A" else "iaib->ab",
+                         self.rho.reshape(d_a, d_b, d_a, d_b))
 
 
 def expect_product(state: BipartiteState, mat_a: np.ndarray, mat_b: np.ndarray) -> float:
@@ -167,14 +165,8 @@ def relative_phase(n: int, theta: float) -> BipartiteState:
     _check_dims("pure", d, d)
     if not np.isfinite(n * float(theta)):  # bounds every k theta below
         raise ValidationError(f"n * theta is not finite for n = {n}, theta = {theta}")
-    s = n / 2.0
-    psi = np.zeros((d, d), dtype=complex)
-    for i in range(d):
-        k = s - i          # m_A, basis order m = s ... -s
-        j = d - 1 - i      # index of m_B = -k
-        psi[i, j] = np.exp(1j * k * theta)
-    psi /= np.sqrt(d)
-    psi = _fix_global_phase(psi)
+    k = n / 2.0 - np.arange(d)  # m_A in the basis order m = s ... -s, and m_B = -k
+    psi = _fix_global_phase(np.diag(np.exp(1j * k * theta))[:, ::-1] / np.sqrt(d))
     sq = SpinQuantum(n)
     return BipartiteState("pure", sq, sq, psi=psi,
                           meta={"family": "relative_phase", "n": n, "theta": theta,
@@ -264,8 +256,7 @@ def separable_mixture(components) -> BipartiteState:
     _check_dims("mixed", d_a, d_b)
     rho = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
     for w, ra, rb in components:
-        ra = np.asarray(ra, dtype=complex)
-        rb = np.asarray(rb, dtype=complex)
+        ra, rb = np.asarray(ra, dtype=complex), np.asarray(rb, dtype=complex)
         for name, m in (("A", ra), ("B", rb)):
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValidationError(f"factor {name} is not square")
@@ -411,8 +402,8 @@ def conditioned_state(state: BipartiteState, obs_a: HermitianObservable,
             raise DegenerateConditionError(f"outcome {alpha} has probability {p}")
         return BipartiteState("pure", state.s_a, state.s_b, psi=psi / np.sqrt(p),
                               meta=dict(state.meta, conditioned_on=alpha))
-    big = np.kron(proj, np.eye(d_b))
-    rho = big @ state.rho @ big
+    rho = np.einsum("ik,kblc,lj->ibjc", proj, state.rho.reshape(d_a, d_b, d_a, d_b), proj,
+                    optimize=True).reshape(state.rho.shape)  # (P (x) 1) rho (P (x) 1)
     p = float(np.real(np.trace(rho)))
     if p <= 1e-14:
         raise DegenerateConditionError(f"outcome {alpha} has probability {p}")
@@ -445,15 +436,11 @@ def uncertainty_margin(state: BipartiteState, obs_1, obs_2, side: str = "A") -> 
     """Delta(O1) Delta(O2) - |<M>|/2 with M = -i [O1, O2], both
     observables on the same subsystem.  Non-negative for every quantum
     state; an LHV model violating this breaks the uncertainty principle."""
-    m1 = as_matrix(obs_1)
-    m2 = as_matrix(obs_2)
+    m1, m2 = as_matrix(obs_1), as_matrix(obs_2)
     red = state.reduced(side)
-    e1 = float(np.real(np.trace(red @ m1)))
-    e2 = float(np.real(np.trace(red @ m2)))
-    v1 = float(np.real(np.trace(red @ (m1 @ m1)))) - e1 ** 2
-    v2 = float(np.real(np.trace(red @ (m2 @ m2)))) - e2 ** 2
-    comm = -1j * (m1 @ m2 - m2 @ m1)
-    em = float(np.real(np.trace(red @ comm)))
+    e1, e2, sq1, sq2, em = (float(np.real(np.trace(red @ m)))
+                            for m in (m1, m2, m1 @ m1, m2 @ m2, -1j * (m1 @ m2 - m2 @ m1)))
+    v1, v2 = sq1 - e1 ** 2, sq2 - e2 ** 2
     return float(np.sqrt(max(v1, 0.0)) * np.sqrt(max(v2, 0.0)) - abs(em) / 2.0)
 
 

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from bellkit.errors import CapacityError, ValidationError
-from bellkit.spin import SpinQuantum
-from bellkit.states import maximally_entangled, separable_mixture, singlet
+from bellkit.registry import FUNCTIONALS
+from bellkit.spin import SpinQuantum, build_spin_rep
+from bellkit.states import (
+    SymmetricState, angular_momentum_eigenstate, dicke, maximally_entangled, random_pure_state,
+    relative_phase, separable_mixture, singlet, werner,
+)
 from bellkit.search import (
     ScanSpec,
     SearchConfig,
@@ -74,6 +78,74 @@ def test_optimize_determinism_across_calls():
 def test_optimize_unknown_functional():
     with pytest.raises(ValidationError):
         optimize_settings(singlet(1), "nope", SearchConfig(seed=1))
+
+
+def _random_symmetric(n, rng):
+    amp = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    return SymmetricState(n, amp / np.linalg.norm(amp))
+
+
+# the compiled objective of each settings search, and the same number
+# read from the evaluator's report at the same angles
+_FROM_REPORT = {
+    "chsh": lambda rep: abs(rep.value) - rep.bound,
+    "tura": lambda rep: -rep.value,
+    "mermin": lambda rep: -rep.margin,
+}
+
+
+def test_compiled_objective_equals_evaluator():
+    rng = np.random.default_rng(77)
+    bipartite = [werner(1, -0.8), werner(2, -0.5), werner(3, 0.4), maximally_entangled(2),
+                 relative_phase(3, 0.7), random_pure_state(SpinQuantum(2), SpinQuantum(2), rng)]
+    cases = {
+        "chsh": bipartite + [angular_momentum_eigenstate(1, 2, 0.5, 0.5),
+                             random_pure_state(SpinQuantum(1), SpinQuantum(3), rng)],
+        "mermin": bipartite + [singlet(3)],
+        "tura": [dicke(8, 3), dicke(20, 10), dicke(5, 0), _random_symmetric(6, rng),
+                 _random_symmetric(15, rng)],
+    }
+    for name, states in cases.items():
+        for st in states:
+            for coplanar in (False, True):
+                ranges, objective, report = FUNCTIONALS[name].optimize(st, coplanar)
+                for _ in range(50):
+                    # angles beyond the start ranges too, where the search may walk
+                    x = np.array([rng.uniform(lo - 1.0, hi + 1.0) for lo, hi in ranges])
+                    got, want = objective(x), _FROM_REPORT[name](report(x))
+                    assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (name, st, x)
+
+
+def _dense_correlation_matrix(st):
+    """T[i, j] = Tr(rho S^A_i (x) S^B_j) from dense Kronecker products."""
+    rep_a, rep_b = build_spin_rep(st.s_a), build_spin_rep(st.s_b)
+    rho = st.density()
+    return np.array([[np.trace(rho @ np.kron(a, b)).real for b in (rep_b.sx, rep_b.sy, rep_b.sz)]
+                     for a in (rep_a.sx, rep_a.sy, rep_a.sz)])
+
+
+def test_chsh_search_reaches_horodecki_maximum():
+    # max |S| = 2 sqrt(s1^2 + s2^2) over the two largest singular values
+    # of T (Horodecki); coplanar settings read T's x-z block
+    rng = np.random.default_rng(12)
+    states = [singlet(1), maximally_entangled(1), maximally_entangled(2),
+              maximally_entangled(3), werner(2, -0.5),
+              random_pure_state(SpinQuantum(1), SpinQuantum(2), rng),
+              random_pure_state(SpinQuantum(2), SpinQuantum(2), rng)]
+    for st in states:
+        t = _dense_correlation_matrix(st)
+        for coplanar, block in ((False, t), (True, t[np.ix_([0, 2], [0, 2])])):
+            sigma = np.linalg.svd(block, compute_uv=False)
+            want = 2.0 * math.hypot(sigma[0], sigma[1])
+            rep = optimize_settings(st, "chsh", SearchConfig(seed=21, restarts=8,
+                                                             coplanar=coplanar))
+            assert abs(abs(rep.value) - want) < 1e-9, (st.meta, coplanar, rep.value, want)
+
+
+def test_mermin_search_refuses_unequal_spins():
+    with pytest.raises(ValidationError, match="equal subsystem spins"):
+        optimize_settings(angular_momentum_eigenstate(1, 2, 0.5, 0.5), "mermin",
+                          SearchConfig(seed=1, restarts=1))
 
 
 def test_mermin_coplanar_vectors():

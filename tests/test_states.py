@@ -273,6 +273,31 @@ def test_conditioning_mixed_state():
     assert marginal_probability(cond, oa, 1.0, "A") > 1 - 1e-10
 
 
+def test_conditioning_mixed_state_against_kron():
+    # the contraction over rho's (a, b) row index equals the dense
+    # (P (x) 1) rho (P (x) 1) / p on seeded mixed states, d <= 4
+    rng = np.random.default_rng(31)
+    for two_a, two_b in ((1, 1), (1, 3), (2, 1), (3, 2), (3, 3)):
+        d_a, d_b = two_a + 1, two_b + 1
+        st = separable_mixture([(w, random_density(d_a, rng), random_density(d_b, rng))
+                                for w in (0.2, 0.5, 0.3)])
+        rep = build_spin_rep(SpinQuantum(two_a))
+        oa = spin_component(rep, UnitVector.from_angles(rng.uniform(0, math.pi),
+                                                        rng.uniform(0, 2 * math.pi)))
+        for alpha in oa.outcome_spectrum:
+            vecs = oa.eigenvectors[:, oa.outcome_masks[oa.outcome_index(alpha)]]
+            big = np.kron(vecs @ vecs.conj().T, np.eye(d_b))
+            want = big @ st.rho @ big
+            want /= np.trace(want).real
+            assert np.max(np.abs(conditioned_state(st, oa, alpha).rho - want)) < 1e-12
+    st = werner(3, -0.3)
+    oa = spin_component(build_spin_rep(SpinQuantum(3)), UnitVector.from_angles(0.4, 2.0))
+    big = np.kron(oa.eigenvectors[:, :1] @ oa.eigenvectors[:, :1].conj().T, np.eye(4))
+    want = big @ st.rho @ big
+    got = conditioned_state(st, oa, oa.levels[0]).rho
+    assert np.max(np.abs(got - want / np.trace(want).real)) < 1e-12
+
+
 def test_conditioning_zero_probability_outcome():
     st = BipartiteState("pure", SpinQuantum(1), SpinQuantum(1),
                         psi=np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex))
