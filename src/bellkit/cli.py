@@ -157,8 +157,6 @@ def _round_tree(obj):
         return _round_sig(float(obj))
     if isinstance(obj, (np.integer,)):
         return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
     if isinstance(obj, dict):
         return {k: _round_tree(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, np.ndarray)):

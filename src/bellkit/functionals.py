@@ -295,8 +295,8 @@ def reid_ratio(state: BipartiteState, theta: float, theta_star: float,
         sb = MeasurementSetting("B", _reid_direction(ph), zero_policy)
         return binned_joint_probability(state, sa, sb)
 
-    num = (table(theta, phi)[0, 0] - table(theta, phi_star)[0, 0]
-           + table(theta_star, phi)[0, 0] + table(theta_star, phi_star)[0, 0])
+    num = float(table(theta, phi)[0, 0] - table(theta, phi_star)[0, 0]
+                + table(theta_star, phi)[0, 0] + table(theta_star, phi_star)[0, 0])
     rep_a = build_spin_rep(state.s_a)
     rep_b = build_spin_rep(state.s_b)
     pa_plus, _ = sign_projectors(spin_component(rep_a, _reid_direction(theta_star)), zero_policy)
@@ -308,7 +308,7 @@ def reid_ratio(state: BipartiteState, theta: float, theta_star: float,
     return ViolationReport(
         functional="reid", value=ratio, bound=1.0, margin=ratio - 1.0,
         violation=ratio - 1.0 > VIOLATION_TOL,
-        settings=[theta, theta_star, phi, phi_star],
+        settings=[float(x) for x in (theta, theta_star, phi, phi_star)],
         state_meta=dict(state.meta),
         extra={"numerator": num, "denominator": den, "zero_policy": zero_policy})
 

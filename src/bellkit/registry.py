@@ -27,7 +27,7 @@ from .errors import CapacityError, DegenerateConditionError, UnknownNameError, V
 from .functionals import (
     cfrd_margin, cfrd_quadrature_margin, cglmp_I, cglmp_functional, chsh_value, drummond_margin,
     generalized_chsh_functional, mabk_value, mermin_check, mermin_coplanar_vectors, reid_ratio,
-    tura_value,
+    tura_value, VIOLATION_TOL,
 )
 from .lhv import cglmp_scenario, enumerate_lhv_bound, symmetric_lhv_min, two_setting_spin_scenario
 from .spin import SpinQuantum, UnitVector, build_spin_rep
@@ -206,13 +206,18 @@ def _chsh_search(state: BipartiteState, coplanar: bool):
 
 
 def _mermin_search(state: BipartiteState, coplanar: bool):
-    # -margin of the squared_difference reading: violation when LHS < RHS
+    # -margin of the squared_difference reading (violation when LHS < RHS) where the premise
+    # holds; elsewhere below every -margin (|margin| <= 4s^3 + 2s^2), falling as the gap grows
     if state.s_a != state.s_b:
         raise ValidationError("mermin_check needs equal subsystem spins")
     sval, second = state.s_a.s, states.spin_moments(state)[1]
+    floor, tol = 4 * sval ** 3 + 2 * sval ** 2 + 1, VIOLATION_TOL * max(1.0, sval ** 2)
 
     def objective(d):
-        delta = np.concatenate([d[0], -d[1]])
+        both, delta = np.concatenate([d[1], d[1]]), np.concatenate([d[0], -d[1]])
+        gap = float(both @ second @ both)
+        if gap > tol:
+            return -floor - gap
         return float((d[0] + d[1]) @ second[:3, 3:] @ d[2] - sval * (delta @ second @ delta))
 
     return _over_vectors(3, coplanar, objective, lambda *vs: mermin_check(state, *vs))

@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .errors import CapacityError, ValidationError
 
 DIM_CAP = 4097
-_EIGENBASIS_CACHE = 8  # spins whose S_y eigenbasis is kept: (2s+1)^2 complex each
+_EIGENBASIS_CACHE = 8  # entries of each cache below: spin reps, and components per (spin, u)
 
 ZERO_POLICIES = ("plus", "minus", "exclude")
 
@@ -92,6 +94,20 @@ class SpinRep:
         """Matrix of u . S (no eigendecomposition)."""
         return u.ux * self.sx + u.uy * self.sy + u.uz * self.sz
 
+    @functools.cached_property
+    def rotation_basis(self) -> tuple:
+        """(m, V, V^dagger): m = s ... -s in basis order, and the
+        eigenvectors V of S_y, columns in ascending eigenvalue order, so
+        column k has eigenvalue k - s = -m[k] exactly."""
+        c = _ladder_coefficients(self.s.two_s) / 2.0
+        v = np.linalg.eigh(np.diag(-1j * c, 1) + np.diag(1j * c, -1))[1]
+        return tuple(map(_frozen, (self.s.s - np.arange(self.dim), v, v.conj().T)))
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
 
 def _ladder_coefficients(two_s: int) -> np.ndarray:
     """<m+1|S_+|m> = sqrt(s(s+1) - m(m+1)) for m = s-1 ... -s, the
@@ -103,16 +119,20 @@ def _ladder_coefficients(two_s: int) -> np.ndarray:
 
 def build_spin_rep(s: SpinQuantum, dim_cap: int = DIM_CAP) -> SpinRep:
     """Construct S_x, S_y, S_z from the ladder matrix elements
-    <m+-1|S_+-|m> = sqrt(s(s+1) - m(m+-1))."""
+    <m+-1|S_+-|m> = sqrt(s(s+1) - m(m+-1)); checked on every call, shared per spin."""
     if s.two_s < 1:
         raise ValidationError("build_spin_rep requires two_s >= 1")
-    d = s.dim
-    if d > dim_cap:
-        raise CapacityError(f"dimension {d} exceeds cap {dim_cap}")
-    sz = np.diag(s.s - np.arange(d)).astype(complex)  # basis order m = s ... -s
-    sp = np.diag(_ladder_coefficients(s.two_s), 1).astype(complex)
+    if s.dim > dim_cap:
+        raise CapacityError(f"dimension {s.dim} exceeds cap {dim_cap}")
+    return _spin_rep(int(s.two_s))
+
+
+@functools.lru_cache(maxsize=_EIGENBASIS_CACHE)
+def _spin_rep(two_s: int) -> SpinRep:
+    sz = np.diag(two_s / 2.0 - np.arange(two_s + 1)).astype(complex)  # m = s ... -s
+    sp = np.diag(_ladder_coefficients(two_s), 1).astype(complex)
     sm = sp.conj().T
-    return SpinRep(s=s, sx=(sp + sm) / 2.0, sy=(sp - sm) / 2j, sz=sz)
+    return SpinRep(SpinQuantum(two_s), *map(_frozen, ((sp + sm) / 2.0, (sp - sm) / 2j, sz)))
 
 
 @dataclass(frozen=True)
@@ -124,9 +144,14 @@ class HermitianObservable:
     outcome, and its probability is a sum over its columns.
     """
 
-    matrix: np.ndarray
     eigenvectors: np.ndarray
     levels: np.ndarray
+    build_matrix: Callable[[], np.ndarray] = field(repr=False, compare=False)
+    sign_bins: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:  # built on first read
+        return self.build_matrix()
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "HermitianObservable":
@@ -149,7 +174,7 @@ class HermitianObservable:
                 j += 1
             levels[i:j + 1] = float(np.mean(evals[i:j + 1]))
             i = j + 1
-        return cls(matrix=matrix, eigenvectors=evecs, levels=levels)
+        return cls(eigenvectors=evecs, levels=levels, build_matrix=lambda: matrix)
 
     @property
     def outcome_spectrum(self) -> np.ndarray:
@@ -169,29 +194,23 @@ class HermitianObservable:
         return int(hits[0])
 
 
-@functools.lru_cache(maxsize=_EIGENBASIS_CACHE)
-def _sy_eigenbasis(two_s: int) -> np.ndarray:
-    """Eigenvectors of S_y, columns in ascending eigenvalue order, so
-    column k has eigenvalue k - s exactly."""
-    c = _ladder_coefficients(two_s) / 2.0
-    sy = np.diag(-1j * c, 1) + np.diag(1j * c, -1)
-    vecs = np.linalg.eigh(sy)[1]
-    vecs.flags.writeable = False
-    return vecs
-
-
 def spin_component(rep: SpinRep, u: UnitVector) -> HermitianObservable:
     """Observable u . S, with eigenvectors the columns of the rotation
     R(u) = exp(-i phi S_z) exp(-i theta S_y) that takes z to u: u . S
-    R|m> = m R|m>, so the outcomes are the m-values exactly."""
-    m = rep.s.s - np.arange(rep.dim)  # basis order m = s ... -s
-    theta = math.atan2(math.hypot(u.ux, u.uy), u.uz)
-    v = _sy_eigenbasis(rep.s.two_s)  # column k has eigenvalue k - s = -m[k], so
+    R|m> = m R|m>, so the outcomes are the m-values exactly.  Shared and
+    read-only per (spin, u), u keyed by its exact bits: -0.0 is not 0.0."""
+    return _component(rep.s.two_s, struct.pack("3d", u.ux, u.uy, u.uz))
+
+
+@functools.lru_cache(maxsize=_EIGENBASIS_CACHE)
+def _component(two_s: int, bits: bytes) -> HermitianObservable:
+    rep, (ux, uy, uz) = _spin_rep(two_s), struct.unpack("3d", bits)
+    m, v, v_dagger = rep.rotation_basis  # column k of v has eigenvalue -m[k], so
     # exp(-i theta S_y) = V exp(i theta m) V^dagger; it is real (Wigner's small d)
-    small_d = ((v * np.exp(1j * theta * m)) @ v.conj().T).real
-    rotation = np.exp(-1j * math.atan2(u.uy, u.ux) * m)[:, None] * small_d
-    return HermitianObservable(matrix=rep.component(u), eigenvectors=rotation[:, ::-1],
-                               levels=m[::-1])
+    small_d = ((v * np.exp(1j * math.atan2(math.hypot(ux, uy), uz) * m)) @ v_dagger).real
+    rotation = np.exp(-1j * math.atan2(uy, ux) * m)[:, None] * small_d
+    return HermitianObservable(eigenvectors=_frozen(rotation[:, ::-1]), levels=m[::-1],
+                               build_matrix=lambda: _frozen(rep.component(UnitVector(ux, uy, uz))))
 
 
 def sign_projectors(obs: HermitianObservable, zero_policy: str = "plus"):
@@ -200,15 +219,16 @@ def sign_projectors(obs: HermitianObservable, zero_policy: str = "plus"):
     An outcome exactly zero (m = 0 of an integer spin) goes to the + bin
     ("plus"), the - bin ("minus"), or neither ("exclude"); in the last
     case the two projectors do not sum to the identity and callers must
-    renormalize.
+    renormalize.  Kept read-only per policy in `obs.sign_bins`.
     """
     if zero_policy not in ZERO_POLICIES:
         raise ValidationError(f"unknown zero_policy {zero_policy!r}")
-    zero = obs.levels == 0
-    plus = (obs.levels > 0) | (zero & (zero_policy == "plus"))
-    minus = (obs.levels < 0) | (zero & (zero_policy == "minus"))
-    v_plus, v_minus = obs.eigenvectors[:, plus], obs.eigenvectors[:, minus]
-    return v_plus @ v_plus.conj().T, v_minus @ v_minus.conj().T
+    if zero_policy not in obs.sign_bins:
+        plus = obs.levels >= 0 if zero_policy == "plus" else obs.levels > 0
+        minus = obs.levels <= 0 if zero_policy == "minus" else obs.levels < 0
+        v_plus, v_minus = obs.eigenvectors[:, plus], obs.eigenvectors[:, minus]
+        obs.sign_bins[zero_policy] = tuple(_frozen(v @ v.conj().T) for v in (v_plus, v_minus))
+    return obs.sign_bins[zero_policy]
 
 
 def _check_half_integer(name, value):

@@ -2,6 +2,7 @@
 layering and the parameter types all follow it."""
 
 import ast
+import json
 import pathlib
 import re
 
@@ -80,3 +81,60 @@ def test_lookup_by_subcommand():
                           ("nope", "evaluate")):
         with pytest.raises(UnknownNameError):
             lookup(name, command)
+
+
+_ME = {"family": "maximally_entangled", "params": {"n": 2}}
+_SEARCH = {"seed": 3, "restarts": 1, "max_evals_per_restart": 30}
+REPORT_SPECS = {
+    "evaluate": {
+        "chsh": {"state": _ME, "settings": {"u1": [0, 0, 1], "u2": [1, 0, 0],
+                                             "v1": [0.6, 0, 0.8], "v2": [-0.6, 0, 0.8]}},
+        "mermin": {"state": {"family": "singlet", "params": {"two_s": 2}},
+                   "settings": {"theta": 0.3}},
+        "reid": {"state": _ME, "settings": {"theta": 0.1, "theta_star": 0.9, "phi": 0.4,
+                                             "phi_star": 1.3}},
+        "tura": {"state": {"family": "dicke", "params": {"n": 4, "k": 2}},
+                 "settings": {"n0": [0, 0, 1], "n1": [1, 0, 0]}},
+        "cfrd": {"state": {"family": "relative_phase", "params": {"n": 2, "theta": 0.4}}},
+        "cfrd_quadrature": {"state": {"family": "werner", "params": {"n": 1, "phi": -0.5}}},
+        "drummond": {"params": {"J": 5, "theta": 0.1}},
+        "mabk": {"params": {"n": 4}},
+        "cglmp_I": {"params": {"d": 2, "tables": [[[0.25, 0.25], [0.25, 0.25]]] * 4}},
+    },
+    "optimize": {
+        "chsh": {"state": _ME},
+        "mermin": {"state": _ME},
+        "reid": {"state": _ME},
+        "tura": {"state": {"family": "dicke", "params": {"n": 4, "k": 2}}},
+        "cfrd_weights": {"params": {"two_s": 1}},
+    },
+    "lhv-bound": {
+        "chsh": {},
+        "generalized_chsh": {"params": {"two_s_a": 2, "two_s_b": 1}},
+        "cglmp": {"params": {"d": 3}},
+        "tura_symmetric": {"params": {"n": 5}},
+    },
+    "scan": {
+        "chsh": {"state": {"family": "werner", "params": {"n": 1}}, "settings": "optimize",
+                 "search": _SEARCH, "scan": {"parameter": "phi", "grid": [-1.0, 0.5]}},
+        "mermin": {"state": {"family": "singlet", "params": {"two_s": 2}},
+                   "scan": {"parameter": "sin_theta_geometry", "grid": [0.2, 0.8]}},
+    },
+}
+
+
+@pytest.mark.parametrize("command", list(REPORT_SPECS))
+def test_every_report_is_plain_json(command):
+    # json.dumps refuses numpy bools, so every report carries plain
+    # Python values and needs no conversion before it is written
+    from bellkit.cli import _check
+
+    specs = REPORT_SPECS[command]
+    assert set(specs) == {name for name, entry in FUNCTIONALS.items()
+                          if getattr(entry, command.replace("-", "_")) is not None}
+    for name, spec in specs.items():
+        spec = dict(spec, functional={"name": name, "params": spec.get("params", {})})
+        if command == "optimize":
+            spec["search"] = _SEARCH
+        report = _check(command, {k: v for k, v in spec.items() if k != "params"})()
+        assert json.loads(json.dumps(report)) == report, name

@@ -85,12 +85,19 @@ def _random_symmetric(n, rng):
     return SymmetricState(n, amp / np.linalg.norm(amp))
 
 
+def _mermin_objective(rep, st):
+    """-margin where the premise holds; elsewhere below every -margin
+    (|margin| <= 4s^3 + 2s^2) and falling with the premise gap."""
+    s, gap = st.s_a.s, rep.extra["premise_gap"]
+    return -rep.margin if gap <= 1e-9 * max(1.0, s * s) else -(4 * s ** 3 + 2 * s ** 2 + 1) - gap
+
+
 # the compiled objective of each settings search, and the same number
 # read from the evaluator's report at the same angles
 _FROM_REPORT = {
-    "chsh": lambda rep: abs(rep.value) - rep.bound,
-    "tura": lambda rep: -rep.value,
-    "mermin": lambda rep: -rep.margin,
+    "chsh": lambda rep, st: abs(rep.value) - rep.bound,
+    "tura": lambda rep, st: -rep.value,
+    "mermin": _mermin_objective,
 }
 
 
@@ -112,7 +119,7 @@ def test_compiled_objective_equals_evaluator():
                 for _ in range(50):
                     # angles beyond the start ranges too, where the search may walk
                     x = np.array([rng.uniform(lo - 1.0, hi + 1.0) for lo, hi in ranges])
-                    got, want = objective(x), _FROM_REPORT[name](report(x))
+                    got, want = objective(x), _FROM_REPORT[name](report(x), st)
                     assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (name, st, x)
 
 
@@ -162,13 +169,22 @@ def test_mermin_optimizer_finds_window():
 
 
 def test_mermin_optimizer_on_product_state_reports_no_violation():
-    # |up>|up> is not anticorrelated along any b, so a negative margin
-    # found by the search is not a Bell violation
+    # |up>|up> is not anticorrelated along any b: <(b.S^A + b.S^B)^2> =
+    # (1 + b_z^2)/2, so the search can only bring the premise gap down
+    # to its minimum 1/2 and reports no violation
     up = np.diag([1.0, 0.0])
     rep = optimize_settings(separable_mixture([(1.0, up, up)]), "mermin",
                             SearchConfig(seed=2, restarts=4))
-    assert rep.margin < -1e-3
-    assert not rep.violation and rep.extra["premise_gap"] >= 0.5 - 1e-9
+    assert not rep.violation
+    assert abs(rep.extra["premise_gap"] - 0.5) <= 1e-6
+
+
+def test_mermin_optimizer_finds_the_premise():
+    # relative_phase is perfectly anticorrelated along z only, so the
+    # search has to end at b = +-z, where the premise gap vanishes
+    rep = optimize_settings(relative_phase(3, 0.4), "mermin", SearchConfig(seed=3, restarts=3))
+    assert rep.extra["premise_gap"] <= 1e-9 * max(1.0, 1.5 ** 2)
+    assert abs(abs(rep.settings[1][2]) - 1.0) <= 1e-6
 
 
 def test_reid_optimizer_small_n():

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from bellkit import spin
 from bellkit.errors import CapacityError, ValidationError
+from bellkit.functionals import reid_ratio
 from bellkit.spin import (
     ZERO_POLICIES,
     HermitianObservable,
@@ -14,6 +16,7 @@ from bellkit.spin import (
     sign_projectors,
     spin_component,
 )
+from bellkit.states import maximally_entangled, werner
 from reference import eigh_projectors
 
 
@@ -202,15 +205,18 @@ ROTATION_DIRECTIONS = [
     UnitVector.from_angles(0.7, 0.0), UnitVector.from_angles(2.5, math.pi),  # x-z plane
     UnitVector(0.0, 1.0, 0.0), UnitVector(0.0, -1.0, 0.0),
     UnitVector.from_angles(1.1, 0.4), UnitVector.from_angles(2.9, -2.2),  # u_y != 0
+    UnitVector(-0.6, -0.0, 0.8),  # azimuth -pi
 ]
 
 
-@pytest.mark.parametrize("two_s", [1, 2, 3, 4, 20, 101])
+@pytest.mark.parametrize("two_s", [*range(1, 9), 20, 101])
 def test_rotated_spin_component_against_eigh(two_s):
+    # checks the shared observable and projectors, as a second call returns them
     rep = build_spin_rep(SpinQuantum(two_s))
     m = np.arange(two_s + 1) - two_s / 2.0
     for u in ROTATION_DIRECTIONS:
         obs = spin_component(rep, u)
+        assert spin_component(rep, u) is obs
         ref = eigh_projectors(rep.component(u))
         assert np.array_equal(obs.levels, m)
         assert np.array_equal(obs.outcome_spectrum, m)
@@ -223,7 +229,9 @@ def test_rotated_spin_component_against_eigh(two_s):
             assert abs(lam - ref_lam) < 1e-12 * two_s
             assert np.max(np.abs(p - ref_p)) < 1e-12
         for policy in ZERO_POLICIES:
-            plus, minus = sign_projectors(obs, policy)
+            bins = sign_projectors(obs, policy)
+            assert sign_projectors(obs, policy) is bins
+            plus, minus = bins
             ref_plus, ref_minus = _tolerance_sign_projectors(ref, policy)
             assert np.max(np.abs(plus - ref_plus)) < 1e-12
             assert np.max(np.abs(minus - ref_minus)) < 1e-12
@@ -235,6 +243,75 @@ def test_rotated_spin_component_against_eigh(two_s):
                 zero = next(p for lam, p in ref if abs(lam) < 0.5) if two_s % 2 == 0 else 0.0
                 assert np.max(np.abs(rest - zero)) < 1e-12
                 assert int(round(np.trace(rest).real)) == (two_s % 2 == 0)
+
+
+def _clear_spin_caches():
+    spin._spin_rep.cache_clear()
+    spin._component.cache_clear()
+
+
+def test_spin_caches_share_read_only_arrays():
+    rep = build_spin_rep(SpinQuantum(4))
+    assert build_spin_rep(SpinQuantum(np.int64(4))) is rep
+    u = UnitVector(-0.6, 0.0, 0.8)
+    obs = spin_component(rep, u)
+    assert spin_component(rep, UnitVector(-0.6, 0.0, 0.8)) is obs
+    # -0.0 and 0.0 are keyed apart: atan2 gives them azimuths -pi and pi
+    twin = spin_component(rep, UnitVector(-0.6, -0.0, 0.8))
+    assert twin is not obs and not np.array_equal(twin.eigenvectors, obs.eigenvectors)
+    plus, minus = sign_projectors(obs, "exclude")
+    assert sign_projectors(obs, "exclude")[0] is plus
+    for array in (rep.sx, rep.sy, rep.sz, *rep.rotation_basis, obs.matrix, obs.eigenvectors,
+                  obs.levels, plus, minus):
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 1.0
+    # the checks still run on every call
+    with pytest.raises(CapacityError):
+        build_spin_rep(SpinQuantum(4), dim_cap=4)
+    with pytest.raises(ValidationError):
+        build_spin_rep(SpinQuantum(0))
+
+
+REID_CASES = [(maximally_entangled(3), (0.3, 2.0, 1.1, 2.4), "plus"),
+              (werner(3, -0.4), (2.2, 0.9, 1.3, 2.5), "minus"),
+              (werner(2, -0.7), (0.2, 2.1, 2.6, 1.0), "exclude")]
+
+
+def _reid_reports():
+    return repr([reid_ratio(st, *angles, zero_policy=policy).to_dict()
+                 for st, angles, policy in REID_CASES])
+
+
+def test_reid_ratio_bit_identical_cold_and_warm():
+    _clear_spin_caches()
+    cold = _reid_reports()
+    _clear_spin_caches()
+    # warm with other spins and directions, and with the -0.0 twin of
+    # every Reid direction (u_x < 0 for most of these angles, so the
+    # twin's azimuth is -pi instead of pi); compare after each spin
+    twins = [UnitVector(math.sin(2 * a), -0.0, math.cos(2 * a))
+             for _, angles, _ in REID_CASES for a in angles]
+    for two_s in range(1, 7):
+        rep = build_spin_rep(SpinQuantum(two_s))
+        for u in ROTATION_DIRECTIONS[:4] + twins:
+            for policy in ZERO_POLICIES:
+                sign_projectors(spin_component(rep, u), policy)
+        assert _reid_reports() == cold
+
+
+def test_spin_caches_are_bounded():
+    _clear_spin_caches()
+    held = []
+    for two_s in range(1, 21):
+        rep = build_spin_rep(SpinQuantum(two_s))
+        for u in ROTATION_DIRECTIONS[:3]:
+            obs = spin_component(rep, u)
+            for policy in ZERO_POLICIES:
+                sign_projectors(obs, policy)
+            held.append(obs)
+    for cache in (spin._spin_rep, spin._component):
+        assert cache.cache_info().currsize == spin._EIGENBASIS_CACHE
+    assert max(len(obs.sign_bins) for obs in held) == len(ZERO_POLICIES)
 
 
 def test_clebsch_selection_rules():
