@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, DegenerateConditionError, ValidationError
-from .spin import UnitVector, build_spin_rep, sign_projectors, spin_component
+from .errors import DegenerateConditionError, ValidationError
+from .spin import UnitVector, build_spin_rep, outcome_indices, sign_projectors, spin_component
 from .states import (
     BipartiteState,
     MeasurementSetting,
@@ -103,6 +103,24 @@ def cglmp_functional(d: int) -> BellFunctional:
     return BellFunctional(name=f"cglmp_d{d}", settings_a=2, settings_b=2, terms=terms)
 
 
+def functional_value(functional: BellFunctional, outcomes_a, outcomes_b, tables) -> float:
+    """Value of `functional` on joint outcome tables (arrays)
+    tables[i][j][k, l] = P(outcomes_a[i][k], outcomes_b[j][l] | settings i, j)."""
+    return sum(term_value(t, outcomes_a[t.setting_a], outcomes_b[t.setting_b],
+                          tables[t.setting_a][t.setting_b]) for t in functional.terms)
+
+
+def term_value(term, out_a, out_b, table: np.ndarray) -> float:
+    """coef times a term's correlator or event probability on the joint
+    table[k, l] = P(out_a[k], out_b[l]) of its two settings."""
+    if isinstance(term, CorrelatorTerm):
+        value = np.asarray(out_a, dtype=float) @ table @ np.asarray(out_b, dtype=float)
+    else:
+        alphas, betas = np.asarray(term.pairs, dtype=float).reshape(-1, 2).T
+        value = np.sum(table[outcome_indices(out_a, alphas), outcome_indices(out_b, betas)])
+    return term.coef * float(value)
+
+
 # ---------------------------------------------------------------------------
 # reports
 
@@ -159,18 +177,18 @@ def chsh_value(state: BipartiteState, u1: UnitVector, u2: UnitVector,
     """Generalized CHSH: S from four spin-component correlators,
     classical bound 1/2 <N_A><N_B>.  margin = |S| - bound, > 0 means
     violation.  At N_A = N_B = 1 the bound is 1/2 (plain CHSH)."""
+    n_a, n_b = state.s_a.two_s, state.s_b.two_s
+    functional = generalized_chsh_functional(n_a, n_b)
     rep_a = build_spin_rep(state.s_a)
     rep_b = build_spin_rep(state.s_b)
-    a1, a2 = rep_a.component(u1), rep_a.component(u2)
-    b1, b2 = rep_b.component(v1), rep_b.component(v2)
-    s = (correlator(state, a1, b1) + correlator(state, a1, b2)
-         + correlator(state, a2, b1) - correlator(state, a2, b2))
-    n_a, n_b = state.s_a.two_s, state.s_b.two_s
+    obs_a = rep_a.component(u1), rep_a.component(u2)
+    obs_b = rep_b.component(v1), rep_b.component(v2)
+    s = sum(t.coef * correlator(state, obs_a[t.setting_a], obs_b[t.setting_b])
+            for t in functional.terms)
     bound = 0.5 * n_a * n_b
     margin = abs(s) - bound
     return ViolationReport(
-        functional="chsh" if (n_a, n_b) == (1, 1) else "generalized_chsh",
-        value=s, bound=bound, margin=margin,
+        functional=functional.name, value=s, bound=bound, margin=margin,
         violation=margin > VIOLATION_TOL,
         settings=[_vec(u1), _vec(u2), _vec(v1), _vec(v2)],
         state_meta=dict(state.meta))
@@ -206,30 +224,37 @@ def mermin_check(state: BipartiteState, a: UnitVector, b: UnitVector, c: UnitVec
         raise ValidationError("mermin_check needs equal subsystem spins")
     sval = state.s_a.s
     mean, second = spin_moments(state)
-    va, vb, vc = a.as_array(), b.as_array(), c.as_array()
-    rhs = float((va + vb) @ second[:3, 3:] @ vc)
-    delta = np.concatenate([va, -vb])  # Delta = a.S^A - b.S^B
-    if reading == "squared_difference":
-        lhs = sval * float(delta @ second @ delta)
-    elif reading == "absolute_of_difference":
+    va, vb = a.as_array(), b.as_array()
+    lhs, rhs = mermin_sides(sval, second, va, vb, c.as_array())
+    if reading == "absolute_of_difference":
         rep = build_spin_rep(state.s_a)
         alphas, betas, table = joint_distribution(
             state, spin_component(rep, a), spin_component(rep, b))
         diff = np.abs(alphas[:, None] - betas[None, :])
         lhs = sval * float(np.sum(diff * table))
     elif reading == "literal":
-        lhs = sval * abs(float(delta @ mean))
-    else:
+        lhs = sval * abs(float(np.concatenate([va, -vb]) @ mean))
+    elif reading != "squared_difference":
         raise ValidationError(f"unknown reading {reading!r}")
-    margin = lhs - rhs
-    both_b = np.concatenate([vb, vb])
-    premise_gap = float(both_b @ second @ both_b)  # <(b.S^A + b.S^B)^2>
+    margin, premise_gap = lhs - rhs, mermin_gap(second, vb)
     return ViolationReport(
         functional="mermin", value=lhs, bound=rhs, margin=margin,
         violation=margin < -VIOLATION_TOL and premise_gap <= VIOLATION_TOL * max(1.0, sval ** 2),
         settings=[_vec(a), _vec(b), _vec(c)],
         state_meta=dict(state.meta),
         extra={"reading": reading, "lhs": lhs, "rhs": rhs, "premise_gap": premise_gap})
+
+
+def mermin_gap(second: np.ndarray, vb) -> float:
+    """The premise gap <(b.S^A + b.S^B)^2> at direction vb."""
+    both_b = np.concatenate([vb, vb])
+    return float(both_b @ second @ both_b)
+
+
+def mermin_sides(sval: float, second: np.ndarray, va, vb, vc) -> tuple:
+    """squared_difference's (lhs, rhs) = (s <Delta^2>, <S_Aa S_Bc> + <S_Ab S_Bc>) at va, vb, vc."""
+    delta = np.concatenate([va, -vb])  # Delta = a.S^A - b.S^B
+    return sval * float(delta @ second @ delta), float((va + vb) @ second[:3, 3:] @ vc)
 
 
 def mermin_coplanar_vectors(theta: float):
@@ -258,12 +283,10 @@ def mabk_value(n: int) -> ViolationReport:
     (tensor(sigma_x + i sigma_y) - tensor(sigma_x - i sigma_y)) / 2i,
     with +-1 outcomes per site; classical bound 2^(n/2) for even n.
     """
-    if not 2 <= n <= 14:
-        raise CapacityError("mabk_value requires 2 <= n <= 14")
+    from .states import ghz
+    amp = ghz(n).amplitudes  # refuses n outside 2..14 before allocating
     if n % 2:
         raise ValidationError("the printed bound 2^(n/2) applies to even n")
-    from .states import ghz
-    amp = ghz(n).amplitudes
     # tensor(sigma_x + i sigma_y) = 2^n |up...up><down...down|
     t = 2 ** n * np.conj(amp[0]) * amp[-1]
     value = float(t.imag)  # (t - conj(t)) / 2i
@@ -342,6 +365,19 @@ def cfrd_quadrature_margin(state: BipartiteState) -> float:
     return float(0.25 + np.trace(xy @ second @ xy.T) - np.sum((xy @ mean) ** 2))
 
 
+def tura_witness(n: int, mean: np.ndarray, second: np.ndarray, rows: np.ndarray) -> tuple:
+    """W = 2 S_0 + S_01 + 2N + (S_00 + S_11)/2 and (S_0, S_00, S_11, S_01) at the directions
+    rows = (n0, n1), from the collective spin moments <J> = mean and <J_i J_j> = second."""
+    (q00, q01), (_, q11) = (rows @ second @ rows.T).tolist()
+    s0 = 2.0 * float(rows[0] @ mean)
+    s00, s11 = 4.0 * q00 - n, 4.0 * q11 - n
+    # sum_{i != j} <m_i0 m_j1> = 2 <{J.n0, J.n1}> - N (n0.n1); the
+    # antisymmetric part [J.n0, J.n1] = i J.(n0 x n1) cancels exactly
+    # against the single-site contraction; tura_value reports its size
+    s01 = 4.0 * q01 - n * float(rows[0] @ rows[1])
+    return 2.0 * s0 + s01 + 2.0 * n + 0.5 * (s00 + s11), (s0, s00, s11, s01)
+
+
 def tura_value(state: SymmetricState, n0: UnitVector, n1: UnitVector) -> ViolationReport:
     """Permutation-symmetric two-setting inequality
 
@@ -353,15 +389,8 @@ def tura_value(state: SymmetricState, n0: UnitVector, n1: UnitVector) -> Violati
     n = state.n_atoms
     mean, second = spin_moments(state)
     u0, u1 = n0.as_array(), n1.as_array()
-    s0 = 2.0 * float(u0 @ mean)
-    s00 = 4.0 * float(u0 @ second @ u0) - n
-    s11 = 4.0 * float(u1 @ second @ u1) - n
-    # sum_{i != j} <m_i0 m_j1> = 2 <{J.n0, J.n1}> - N (n0.n1); the
-    # antisymmetric part [J.n0, J.n1] = i J.(n0 x n1) cancels exactly
-    # against the single-site contraction; its size is reported
-    s01 = 4.0 * float(u0 @ second @ u1) - n * n0.dot(n1)
+    w, (s0, s00, s11, s01) = tura_witness(n, mean, second, np.array([u0, u1]))
     commutator = float(np.cross(u0, u1) @ mean)  # <[J.n0, J.n1]> / i
-    w = 2.0 * s0 + s01 + 2.0 * n + 0.5 * (s00 + s11)
     return ViolationReport(
         functional="tura", value=w, bound=0.0, margin=w,
         violation=w < -VIOLATION_TOL,
@@ -372,24 +401,20 @@ def tura_value(state: SymmetricState, n0: UnitVector, n1: UnitVector) -> Violati
 
 
 def cglmp_I(tables, d: int) -> float:
-    """Assemble I = P(A1=B1) + P(B1=A2+1) + P(A2=B1) + P(B2=A1) from
-    four d x d joint probability tables keyed (A setting, B setting):
-    tables = (P11, P12, P21, P22), each P[j, l] = P(A=j, B=l)."""
+    """I = P(A1=B1) + P(B1=A2+1) + P(A2=B1) + P(B2=A1), cglmp_functional(d)
+    read from four d x d joint probability tables keyed (A setting,
+    B setting): tables = (P11, P12, P21, P22), each P[j, l] = P(A=j, B=l)."""
     if len(tables) != 4:
         raise ValidationError("need four joint probability tables")
     mats = []
     for t in tables:
         t = np.asarray(t, dtype=float)
-        if t.shape != (d, d):
+        if t.shape != (d, d):  # before cglmp_functional(d) builds its d pairs
             raise ValidationError(f"table shape {t.shape} != ({d}, {d})")
         if np.any(t < -1e-12):
             raise ValidationError("negative probabilities in table")
         if not abs(t.sum() - 1.0) <= 1e-9:
             raise ValidationError(f"table sums to {t.sum()}, expected 1")
         mats.append(t)
-    p11, p12, p21, _p22 = mats
-    same = float(np.trace(p11))                       # P(A1 = B1)
-    shift = float(sum(p21[k, (k + 1) % d] for k in range(d)))  # P(B1 = A2+1)
-    same21 = float(np.trace(p21))                     # P(A2 = B1)
-    same12 = float(np.trace(p12))                     # P(B2 = A1)
-    return same + shift + same21 + same12
+    outcomes = (tuple(range(d)),) * 2
+    return functional_value(cglmp_functional(d), outcomes, outcomes, (mats[:2], mats[2:]))

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DegenerateConditionError, ValidationError
-from .functionals import BellFunctional, CorrelatorTerm, PairEventTerm
+from .functionals import BellFunctional, CorrelatorTerm, PairEventTerm, functional_value, term_value
+from .spin import outcome_indices
 from .states import outcome_probabilities
 
 ENUM_CAP = 10 ** 8
@@ -101,12 +102,16 @@ class LhvModel:
     def n_lambda(self) -> int:
         return len(self.weights)
 
+    def response_rows(self, side: str, i: int) -> np.ndarray:
+        """rows[lambda, k] = P(k-th outcome | setting i, lambda) on side "A", else on side B."""
+        return np.array([tables[i] for tables in (self.response_a if side == "A" else self.response_b)],
+                        dtype=float)
 
-def _outcome_index(outcomes, value) -> int:
-    for i, v in enumerate(outcomes):
-        if abs(v - value) <= 1e-9:
-            return i
-    raise ValidationError(f"outcome {value} not admissible in {outcomes}")
+    def joint_table(self, i: int, j: int) -> np.ndarray:
+        """P(alpha, beta | settings i, j) over the scenario's outcome lists:
+        sum_lambda P(lambda) response_a[lambda][i] (x) response_b[lambda][j]."""
+        return np.einsum("l,la,lb->ab", np.asarray(self.weights, dtype=float),
+                         self.response_rows("A", i), self.response_rows("B", j))
 
 
 def lhv_model_eval(model: LhvModel, query: str, **kw) -> float:
@@ -118,21 +123,16 @@ def lhv_model_eval(model: LhvModel, query: str, **kw) -> float:
     query = "mean":        sum_lambda P(lambda) <A_i>_lambda <B_j>_lambda
     """
     sc = model.scenario
-    w = np.asarray(model.weights, dtype=float)
-    if query == "joint":
+    if query in ("joint", "mean"):
         i, j = kw["setting_a"], kw["setting_b"]
-        ia = _outcome_index(sc.outcomes_a[i], kw["alpha"])
-        ib = _outcome_index(sc.outcomes_b[j], kw["beta"])
-        pa = np.array([model.response_a[l][i][ia] for l in range(model.n_lambda)])
-        pb = np.array([model.response_b[l][j][ib] for l in range(model.n_lambda)])
-        return float(np.sum(w * pa * pb))
+        term = (CorrelatorTerm(1.0, i, j) if query == "mean"
+                else PairEventTerm(1.0, i, j, ((kw["alpha"], kw["beta"]),)))
+        return term_value(term, sc.outcomes_a[i], sc.outcomes_b[j], model.joint_table(i, j))
     if query == "marginal":
         side, i = kw["side"], kw["setting"]
-        resp = model.response_a if side == "A" else model.response_b
         outs = sc.outcomes_a[i] if side == "A" else sc.outcomes_b[i]
-        io = _outcome_index(outs, kw["outcome"])
-        p = np.array([resp[l][i][io] for l in range(model.n_lambda)])
-        return float(np.sum(w * p))
+        p = model.response_rows(side, i)[:, outcome_indices(outs, [kw["outcome"]])[0]]
+        return float(np.sum(np.asarray(model.weights, dtype=float) * p))
     if query == "conditional":
         joint = lhv_model_eval(model, "joint", **kw)
         marg = lhv_model_eval(model, "marginal", side="A",
@@ -140,30 +140,15 @@ def lhv_model_eval(model: LhvModel, query: str, **kw) -> float:
         if marg <= 1e-14:
             raise DegenerateConditionError("conditioning on a zero-probability outcome")
         return joint / marg
-    if query == "mean":
-        i, j = kw["setting_a"], kw["setting_b"]
-        va = np.asarray(sc.outcomes_a[i], dtype=float)
-        vb = np.asarray(sc.outcomes_b[j], dtype=float)
-        ma = np.array([np.dot(model.response_a[l][i], va) for l in range(model.n_lambda)])
-        mb = np.array([np.dot(model.response_b[l][j], vb) for l in range(model.n_lambda)])
-        return float(np.sum(w * ma * mb))
     raise ValidationError(f"unknown query {query!r}")
 
 
 def functional_model_value(model: LhvModel, functional: BellFunctional) -> float:
     """Value of a Bell functional under a stochastic LHV model."""
-    total = 0.0
-    for term in functional.terms:
-        if isinstance(term, CorrelatorTerm):
-            total += term.coef * lhv_model_eval(model, "mean",
-                                                setting_a=term.setting_a,
-                                                setting_b=term.setting_b)
-        elif isinstance(term, PairEventTerm):
-            total += term.coef * sum(
-                lhv_model_eval(model, "joint", setting_a=term.setting_a,
-                               setting_b=term.setting_b, alpha=alpha, beta=beta)
-                for alpha, beta in term.pairs)
-    return total
+    sc = model.scenario
+    tables = [[model.joint_table(i, j) for j in range(sc.settings_b)]
+              for i in range(sc.settings_a)]
+    return functional_value(functional, sc.outcomes_a, sc.outcomes_b, tables)
 
 
 def _strategies(outcome_lists) -> np.ndarray:

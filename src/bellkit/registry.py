@@ -26,8 +26,8 @@ from . import states
 from .errors import CapacityError, DegenerateConditionError, UnknownNameError, ValidationError
 from .functionals import (
     cfrd_margin, cfrd_quadrature_margin, cglmp_I, cglmp_functional, chsh_value, drummond_margin,
-    generalized_chsh_functional, mabk_value, mermin_check, mermin_coplanar_vectors, reid_ratio,
-    tura_value, VIOLATION_TOL,
+    generalized_chsh_functional, mabk_value, mermin_check, mermin_coplanar_vectors, mermin_gap,
+    mermin_sides, reid_ratio, tura_value, tura_witness, VIOLATION_TOL,
 )
 from .lhv import cglmp_scenario, enumerate_lhv_bound, symmetric_lhv_min, two_setting_spin_scenario
 from .spin import SpinQuantum, UnitVector, build_spin_rep
@@ -174,7 +174,7 @@ def _over_vectors(count: int, coplanar: bool, objective, report):
     """Search over `count` unit vectors: one angle each in the x-z plane
     when coplanar, else a polar and an azimuthal angle each.  The
     objective gets them as the rows of one (count, 3) array, rewritten
-    in place at each evaluation; `report` gets them as UnitVectors."""
+    in place at each evaluation; `report` gets the same rows as UnitVectors."""
     rows = np.zeros((count, 3))
 
     def directions(x):
@@ -185,24 +185,20 @@ def _over_vectors(count: int, coplanar: bool, objective, report):
         np.cos(polar, out=rows[:, 2])
         return rows
 
-    def vectors(x):
-        if coplanar:
-            return [UnitVector(math.sin(a), 0.0, math.cos(a)) for a in x]
-        return [UnitVector.from_angles(x[2 * i], x[2 * i + 1]) for i in range(count)]
-
     ranges = [(0.0, 2 * math.pi)] if coplanar else [(0.0, math.pi), (0.0, 2 * math.pi)]
-    return ranges * count, lambda x: objective(directions(x)), lambda x: report(*vectors(x))
+    # + 0.0 turns the y = -0.0 of a coplanar direction with sin(polar) < 0 into 0.0
+    return (ranges * count, lambda x: objective(directions(x)),
+            lambda x: report(*(UnitVector(*row) for row in (directions(x) + 0.0).tolist())))
 
 
 def _chsh_search(state: BipartiteState, coplanar: bool):
-    # S is bilinear in the directions: g[i, j] = u_i^T T v_j
+    # S is bilinear in the directions: sum_ij coef[i, j] u_i^T T v_j = sum_i (u_i^T T).(coef V)_i
+    coef = np.zeros((2, 2))
+    for term in generalized_chsh_functional(state.s_a.two_s, state.s_b.two_s).terms:
+        coef[term.setting_a, term.setting_b] += term.coef
     t, bound = spin_correlation_matrix(state), 0.5 * state.s_a.two_s * state.s_b.two_s
-
-    def objective(d):
-        g = d[:2] @ t @ d[2:].T
-        return abs(g[0, 0] + g[0, 1] + g[1, 0] - g[1, 1]) - bound
-
-    return _over_vectors(4, coplanar, objective, lambda *vs: chsh_value(state, *vs))
+    return _over_vectors(4, coplanar, lambda d: abs(np.vdot(d[:2] @ t, coef @ d[2:])) - bound,
+                         lambda *vs: chsh_value(state, *vs))
 
 
 def _mermin_search(state: BipartiteState, coplanar: bool):
@@ -214,25 +210,19 @@ def _mermin_search(state: BipartiteState, coplanar: bool):
     floor, tol = 4 * sval ** 3 + 2 * sval ** 2 + 1, VIOLATION_TOL * max(1.0, sval ** 2)
 
     def objective(d):
-        both, delta = np.concatenate([d[1], d[1]]), np.concatenate([d[0], -d[1]])
-        gap = float(both @ second @ both)
+        gap = mermin_gap(second, d[1])
         if gap > tol:
             return -floor - gap
-        return float((d[0] + d[1]) @ second[:3, 3:] @ d[2] - sval * (delta @ second @ delta))
+        lhs, rhs = mermin_sides(sval, second, *d)
+        return rhs - lhs
 
     return _over_vectors(3, coplanar, objective, lambda *vs: mermin_check(state, *vs))
 
 
 def _tura_search(state: SymmetricState, coplanar: bool):
-    # -W, tura_value's terms summed: W = N (1 - n0.n1) + 4 n0.<J>
-    # + 2 (n0 + n1)^T second (n0 + n1); violation when W < 0
     n, (mean, second) = state.n_atoms, states.spin_moments(state)
-
-    def objective(d):
-        both = d[0] + d[1]
-        return -float(n * (1.0 - d[0] @ d[1]) + 4.0 * (d[0] @ mean) + 2.0 * (both @ second @ both))
-
-    return _over_vectors(2, coplanar, objective, lambda *vs: tura_value(state, *vs))
+    return _over_vectors(2, coplanar, lambda d: -tura_witness(n, mean, second, d)[0],
+                         lambda *vs: tura_value(state, *vs))
 
 
 def _reid_search(state: BipartiteState, coplanar: bool):

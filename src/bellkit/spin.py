@@ -117,13 +117,13 @@ def _ladder_coefficients(two_s: int) -> np.ndarray:
     return np.sqrt(sval * (sval + 1) - m * (m + 1))
 
 
-def build_spin_rep(s: SpinQuantum, dim_cap: int = DIM_CAP) -> SpinRep:
+def build_spin_rep(s: SpinQuantum) -> SpinRep:
     """Construct S_x, S_y, S_z from the ladder matrix elements
     <m+-1|S_+-|m> = sqrt(s(s+1) - m(m+-1)); checked on every call, shared per spin."""
     if s.two_s < 1:
         raise ValidationError("build_spin_rep requires two_s >= 1")
-    if s.dim > dim_cap:
-        raise CapacityError(f"dimension {s.dim} exceeds cap {dim_cap}")
+    if s.dim > DIM_CAP:
+        raise CapacityError(f"dimension {s.dim} exceeds cap {DIM_CAP}")
     return _spin_rep(int(s.two_s))
 
 
@@ -188,10 +188,17 @@ class HermitianObservable:
 
     def outcome_index(self, outcome: float) -> int:
         """Index in outcome_spectrum of the first outcome within 1e-8 of `outcome`."""
-        hits = np.flatnonzero(np.abs(self.outcome_spectrum - outcome) <= 1e-8)
-        if len(hits) == 0:
-            raise ValidationError(f"outcome {outcome} not in spectrum {self.outcome_spectrum}")
-        return int(hits[0])
+        return int(outcome_indices(self.outcome_spectrum, [outcome])[0])
+
+
+def outcome_indices(outcomes, values) -> np.ndarray:
+    """For each of `values`, the index of the first of `outcomes` within 1e-8 of it."""
+    values = np.asarray(values, dtype=float)
+    hits = np.abs(values[:, None] - np.asarray(outcomes, dtype=float)) <= 1e-8
+    found = hits.any(axis=1)
+    if not found.all():
+        raise ValidationError(f"outcome {values[~found][0]} not admissible in {tuple(outcomes)}")
+    return hits.argmax(axis=1)
 
 
 def spin_component(rep: SpinRep, u: UnitVector) -> HermitianObservable:

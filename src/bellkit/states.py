@@ -294,8 +294,10 @@ class MultiQubitState:
 
 def ghz(n: int) -> MultiQubitState:
     """(|up...up> + i |down...down>) / sqrt(2)."""
-    if not 2 <= n <= 14:
-        raise CapacityError("ghz requires 2 <= n <= 14")
+    if n < 2:
+        raise ValidationError("ghz requires n >= 2")
+    if n > 14:
+        raise CapacityError("ghz requires n <= 14")
     amp = np.zeros(2 ** n, dtype=complex)
     amp[0] = 1 / np.sqrt(2)
     amp[-1] = 1j / np.sqrt(2)

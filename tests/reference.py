@@ -21,6 +21,17 @@ def symmetric_lhv_min_bruteforce(n_atoms: int):
     return best
 
 
+def cglmp_I_hand_sum(tables, d):
+    """P(A1=B1) + P(B1=A2+1) + P(A2=B1) + P(B2=A1) summed by hand from
+    tables = (P11, P12, P21, P22), each P[j, l] = P(A=j, B=l)."""
+    p11, p12, p21, _p22 = (np.asarray(t, dtype=float) for t in tables)
+    same = float(np.trace(p11))                                # P(A1 = B1)
+    shift = float(sum(p21[k, (k + 1) % d] for k in range(d)))  # P(B1 = A2+1)
+    same21 = float(np.trace(p21))                              # P(A2 = B1)
+    same12 = float(np.trace(p12))                              # P(B2 = A1)
+    return same + shift + same21 + same12
+
+
 def eigh_projectors(matrix):
     """[(level, projector), ...] ascending, from a dense eigh of `matrix`;
     eigenvalues within 1e-9 of the spectral norm form one level, their

@@ -284,6 +284,14 @@ PROBES = [
                                  "functional": {"name": "cfrd_quadrature"}}),
     (EXIT_CAPACITY, "optimize", {"state": ME, "functional": {"name": "chsh"},
                                  "search": dict(SEARCH, restarts=10 ** 12)}),
+    # below a functional's range: formerly exit 0 (cglmp_I) or exit 4 (mabk); d is checked
+    # against the tables before any outcome pair is built
+    (EXIT_BAD_SPEC, "evaluate", {"functional": {"name": "cglmp_I", "params": {
+        "d": 1, "tables": [[[1.0]]] * 4}}}),
+    (EXIT_BAD_SPEC, "evaluate", {"functional": {"name": "cglmp_I", "params": {
+        "d": 10 ** 12, "tables": [[[1.0]]] * 4}}}),
+    (EXIT_BAD_SPEC, "evaluate", {"functional": {"name": "mabk", "params": {"n": 1}}}),
+    (EXIT_CAPACITY, "evaluate", {"functional": {"name": "mabk", "params": {"n": 16}}}),
 ]
 
 

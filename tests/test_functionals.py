@@ -29,7 +29,7 @@ from bellkit.functionals import (
     reid_ratio,
     tura_value,
 )
-from reference import eigh_projectors
+from reference import cglmp_I_hand_sum, eigh_projectors
 
 EZ = UnitVector(0.0, 0.0, 1.0)
 EX = UnitVector(1.0, 0.0, 0.0)
@@ -188,6 +188,14 @@ def test_mabk_values():
         mabk_value(3)
     with pytest.raises(CapacityError):
         mabk_value(16)
+    # below two parties is malformed input, not a size beyond the cap
+    for n in (1, 0, -4):
+        with pytest.raises(ValidationError):
+            mabk_value(n)
+        with pytest.raises(ValidationError):
+            ghz(n)
+    with pytest.raises(CapacityError):
+        ghz(15)
 
 
 def test_mabk_against_dense_operator():
@@ -393,6 +401,20 @@ def test_cglmp_I_validation():
     unnorm = [np.ones((d, d))] * 4
     with pytest.raises(ValidationError):
         cglmp_I(unnorm, d)
+    # CGLMP needs d >= 2, as cglmp_functional and `lhv-bound cglmp` say
+    with pytest.raises(ValidationError):
+        cglmp_I([np.ones((1, 1))] * 4, 1)
+    # tables that do not match d are refused before the d outcome pairs are built
+    with pytest.raises(ValidationError):
+        cglmp_I([np.ones((1, 1))] * 4, 10 ** 12)
+
+
+def test_cglmp_I_matches_hand_sum():
+    rng = np.random.default_rng(2026)
+    for d in range(2, 7):
+        for _ in range(20):
+            tables = [t / t.sum() for t in rng.uniform(size=(4, d, d))]
+            assert abs(cglmp_I(tables, d) - cglmp_I_hand_sum(tables, d)) <= 1e-15, d
 
 
 def _random_direction(rng):

@@ -8,6 +8,7 @@ from bellkit.errors import CapacityError, ValidationError
 from bellkit.spin import SpinQuantum, UnitVector, build_spin_rep, spin_component
 from bellkit.states import separable_mixture
 from bellkit.functionals import (
+    PairEventTerm,
     cglmp_functional,
     chsh_functional,
     chsh_value,
@@ -100,6 +101,26 @@ def test_stochastic_models_never_beat_vertices():
         assert low - 1e-10 <= v <= bound + 1e-10
 
 
+def test_functional_model_value_matches_summed_queries():
+    # each term summed by hand from lhv_model_eval's mean and joint queries
+    rng = np.random.default_rng(41)
+    cases = [(two_setting_spin_scenario(1, 1), chsh_functional()),
+             (two_setting_spin_scenario(3, 2), generalized_chsh_functional(3, 2)),
+             (cglmp_scenario(3), cglmp_functional(3)), (cglmp_scenario(5), cglmp_functional(5))]
+    for sc, f in cases:
+        for _ in range(10):
+            m = random_model(sc, rng, n_lambda=int(rng.integers(1, 6)))
+            want = 0.0
+            for t in f.terms:
+                ij = {"setting_a": t.setting_a, "setting_b": t.setting_b}
+                if isinstance(t, PairEventTerm):
+                    want += t.coef * sum(lhv_model_eval(m, "joint", alpha=a, beta=b, **ij)
+                                         for a, b in t.pairs)
+                else:
+                    want += t.coef * lhv_model_eval(m, "mean", **ij)
+            assert abs(functional_model_value(m, f) - want) <= 1e-12, f.name
+
+
 def test_lhv_model_eval_queries():
     rng = np.random.default_rng(8)
     sc = two_setting_spin_scenario(1, 1)
@@ -119,6 +140,24 @@ def test_lhv_model_eval_queries():
     assert abs(joint - cond * pa) < 1e-10
     with pytest.raises(ValidationError):
         lhv_model_eval(m, "wishes", setting_a=0)
+
+
+def test_lhv_marginal_reads_one_side():
+    # P(alpha | side, i) = sum_lambda P(lambda) response[lambda][i][alpha], to the last bit,
+    # whatever the other side's tables are
+    rng = np.random.default_rng(12)
+    sc = cglmp_scenario(4)
+    m = random_model(sc, rng, n_lambda=5)
+    other = LhvModel(sc, m.weights, m.response_a, random_model(sc, rng, n_lambda=5).response_b)
+    for side, resp in (("A", m.response_a), ("B", m.response_b)):
+        for i in range(2):
+            for k, outcome in enumerate(sc.outcomes_a[i]):
+                want = float(np.sum(m.weights * np.array([tables[i][k] for tables in resp])))
+                got = lhv_model_eval(m, "marginal", side=side, setting=i, outcome=outcome)
+                assert got == want
+                if side == "A":
+                    assert lhv_model_eval(other, "marginal", side="A", setting=i,
+                                          outcome=outcome) == got
 
 
 def test_lhv_model_validation():

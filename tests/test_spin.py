@@ -7,6 +7,7 @@ from bellkit import spin
 from bellkit.errors import CapacityError, ValidationError
 from bellkit.functionals import reid_ratio
 from bellkit.spin import (
+    DIM_CAP,
     ZERO_POLICIES,
     HermitianObservable,
     SpinQuantum,
@@ -171,6 +172,11 @@ def test_degenerate_eigenvalues_grouped():
     assert obs.outcome_index(1.0 + 1e-9) == 1 and obs.outcome_index(-1.0) == 0
     with pytest.raises(ValidationError):
         obs.outcome_index(0.5)
+    # the vectorised lookup: the first outcome within 1e-8 of each value
+    got = spin.outcome_indices((0.0, 1.0, 1.0 + 5e-9, 2.0), [2.0, 1.0 + 9e-9, 0.0, 1.0])
+    assert got.tolist() == [3, 1, 0, 1]
+    with pytest.raises(ValidationError, match="outcome 3.0"):
+        spin.outcome_indices((0.0, 1.0), [1.0, 3.0])
 
 
 def test_sign_projectors_policies():
@@ -267,7 +273,7 @@ def test_spin_caches_share_read_only_arrays():
             array[(0,) * array.ndim] = 1.0
     # the checks still run on every call
     with pytest.raises(CapacityError):
-        build_spin_rep(SpinQuantum(4), dim_cap=4)
+        build_spin_rep(SpinQuantum(DIM_CAP))  # dimension DIM_CAP + 1, refused before allocating
     with pytest.raises(ValidationError):
         build_spin_rep(SpinQuantum(0))
 
