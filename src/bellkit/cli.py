@@ -134,9 +134,9 @@ def selftest() -> bool:
     obs = spin_component(rep, UnitVector(0.0, 0.0, 1.0))
     _, _, table = joint_distribution(state, obs, obs)
     check("joint distribution sums to 1", abs(table.sum() - 1.0) < 1e-9)
-    bound, _ = enumerate_lhv_bound(two_setting_spin_scenario(1, 1),
-                                   generalized_chsh_functional(1, 1), "max")
-    check("enumerated CHSH bound = 1/2", abs(bound - 0.5) < 1e-12)
+    chsh = generalized_chsh_functional(1, 1)
+    bound, _ = enumerate_lhv_bound(two_setting_spin_scenario(1, 1), chsh, "max")
+    check("enumerated CHSH bound = 1/2", abs(bound - chsh.bound) < 1e-12)
     wmin, _ = symmetric_lhv_min(4)
     check("symmetric LHV min >= 0", wmin >= 0.0)
     return ok

@@ -54,12 +54,14 @@ class PairEventTerm:
 
 @dataclass(frozen=True)
 class BellFunctional:
-    """Linear combination of correlators and event probabilities."""
+    """Linear combination of correlators and event probabilities, and
+    the classical bound stated for it."""
 
     name: str
     settings_a: int
     settings_b: int
     terms: tuple
+    bound: float
 
     def __post_init__(self):
         for t in self.terms:
@@ -69,14 +71,10 @@ class BellFunctional:
                 raise ValidationError(f"term {t} references an unknown setting")
 
 
-def chsh_functional() -> BellFunctional:
-    """Classic CHSH combination with +-1/2 outcomes (bound 1/2)."""
-    return generalized_chsh_functional(1, 1)
-
-
 def generalized_chsh_functional(two_s_a: int, two_s_b: int) -> BellFunctional:
     """S = <11> + <12> + <21> - <22> for spin-component outcomes
-    -s..+s on each side; bound 1/2 <N_A><N_B> = 2 s_A s_B."""
+    -s..+s on each side; bound 1/2 <N_A><N_B> = 2 s_A s_B (1/2, plain
+    CHSH named "chsh", at s_A = s_B = 1/2)."""
     terms = (
         CorrelatorTerm(1.0, 0, 0),
         CorrelatorTerm(1.0, 0, 1),
@@ -85,11 +83,12 @@ def generalized_chsh_functional(two_s_a: int, two_s_b: int) -> BellFunctional:
     )
     return BellFunctional(
         name="generalized_chsh" if (two_s_a, two_s_b) != (1, 1) else "chsh",
-        settings_a=2, settings_b=2, terms=terms)
+        settings_a=2, settings_b=2, terms=terms, bound=0.5 * two_s_a * two_s_b)
 
 
 def cglmp_functional(d: int) -> BellFunctional:
-    """I = P(A1=B1) + P(B1=A2+1) + P(A2=B1) + P(B2=A1), outcomes mod d."""
+    """I = P(A1=B1) + P(B1=A2+1) + P(A2=B1) + P(B2=A1), outcomes mod d;
+    claimed LHV bound 3."""
     if d < 2:
         raise ValidationError("d must be >= 2")
     eq = tuple((j, j) for j in range(d))
@@ -100,7 +99,7 @@ def cglmp_functional(d: int) -> BellFunctional:
         PairEventTerm(1.0, 1, 0, eq),        # P(A2 = B1)
         PairEventTerm(1.0, 0, 1, eq),        # P(B2 = A1)
     )
-    return BellFunctional(name=f"cglmp_d{d}", settings_a=2, settings_b=2, terms=terms)
+    return BellFunctional(name=f"cglmp_d{d}", settings_a=2, settings_b=2, terms=terms, bound=3.0)
 
 
 def functional_value(functional: BellFunctional, outcomes_a, outcomes_b, tables) -> float:
@@ -111,14 +110,19 @@ def functional_value(functional: BellFunctional, outcomes_a, outcomes_b, tables)
 
 
 def term_value(term, out_a, out_b, table: np.ndarray) -> float:
-    """coef times a term's correlator or event probability on the joint
-    table[k, l] = P(out_a[k], out_b[l]) of its two settings."""
+    """A term's value on the joint table[k, l] = P(out_a[k], out_b[l]) of its two settings."""
+    return float(np.sum(term_weights(term, out_a, out_b) * table))
+
+
+def term_weights(term, out_a, out_b) -> np.ndarray:
+    """w[k, l]: the term's coef times its correlator or event at outcomes (out_a[k], out_b[l]).
+    A repeated pair counts once; an outcome outside the lists raises ValidationError."""
     if isinstance(term, CorrelatorTerm):
-        value = np.asarray(out_a, dtype=float) @ table @ np.asarray(out_b, dtype=float)
-    else:
-        alphas, betas = np.asarray(term.pairs, dtype=float).reshape(-1, 2).T
-        value = np.sum(table[outcome_indices(out_a, alphas), outcome_indices(out_b, betas)])
-    return term.coef * float(value)
+        return term.coef * np.outer(np.asarray(out_a, dtype=float), np.asarray(out_b, dtype=float))
+    alphas, betas = np.asarray(term.pairs, dtype=float).reshape(-1, 2).T
+    weights = np.zeros((len(out_a), len(out_b)))
+    weights[outcome_indices(out_a, alphas), outcome_indices(out_b, betas)] = term.coef
+    return weights
 
 
 # ---------------------------------------------------------------------------
@@ -177,18 +181,16 @@ def chsh_value(state: BipartiteState, u1: UnitVector, u2: UnitVector,
     """Generalized CHSH: S from four spin-component correlators,
     classical bound 1/2 <N_A><N_B>.  margin = |S| - bound, > 0 means
     violation.  At N_A = N_B = 1 the bound is 1/2 (plain CHSH)."""
-    n_a, n_b = state.s_a.two_s, state.s_b.two_s
-    functional = generalized_chsh_functional(n_a, n_b)
+    functional = generalized_chsh_functional(state.s_a.two_s, state.s_b.two_s)
     rep_a = build_spin_rep(state.s_a)
     rep_b = build_spin_rep(state.s_b)
     obs_a = rep_a.component(u1), rep_a.component(u2)
     obs_b = rep_b.component(v1), rep_b.component(v2)
     s = sum(t.coef * correlator(state, obs_a[t.setting_a], obs_b[t.setting_b])
             for t in functional.terms)
-    bound = 0.5 * n_a * n_b
-    margin = abs(s) - bound
+    margin = abs(s) - functional.bound
     return ViolationReport(
-        functional=functional.name, value=s, bound=bound, margin=margin,
+        functional=functional.name, value=s, bound=functional.bound, margin=margin,
         violation=margin > VIOLATION_TOL,
         settings=[_vec(u1), _vec(u2), _vec(v1), _vec(v2)],
         state_meta=dict(state.meta))

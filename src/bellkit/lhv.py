@@ -13,7 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DegenerateConditionError, ValidationError
-from .functionals import BellFunctional, CorrelatorTerm, PairEventTerm, functional_value, term_value
+from .functionals import (
+    BellFunctional, CorrelatorTerm, PairEventTerm, functional_value, term_value, term_weights,
+)
 from .spin import outcome_indices
 from .states import outcome_probabilities
 
@@ -152,22 +154,9 @@ def functional_model_value(model: LhvModel, functional: BellFunctional) -> float
 
 
 def _strategies(outcome_lists) -> np.ndarray:
-    """All deterministic assignments, one row per strategy, in
-    itertools.product order (the last setting varies fastest)."""
-    grids = np.meshgrid(*outcome_lists, indexing="ij", copy=False)
-    return np.stack(grids, axis=-1, dtype=float).reshape(-1, len(outcome_lists))
-
-
-def _term_matrix(term, strat_a: np.ndarray, strat_b: np.ndarray) -> np.ndarray:
-    if isinstance(term, CorrelatorTerm):
-        return term.coef * np.outer(strat_a[:, term.setting_a], strat_b[:, term.setting_b])
-    if isinstance(term, PairEventTerm):
-        mask = np.zeros((len(strat_a), len(strat_b)), dtype=bool)
-        for alpha, beta in term.pairs:
-            mask |= ((np.abs(strat_a[:, term.setting_a] - alpha) < 1e-9)[:, None]
-                     & (np.abs(strat_b[:, term.setting_b] - beta) < 1e-9)[None, :])
-        return term.coef * mask.astype(float)
-    raise ValidationError(f"unknown term type {term!r}")
+    """All deterministic assignments as outcome indices, one row per
+    strategy, in itertools.product order (the last setting varies fastest)."""
+    return np.indices([len(o) for o in outcome_lists]).reshape(len(outcome_lists), -1).T
 
 
 def enumerate_lhv_bound(scenario: Scenario, functional: BellFunctional,
@@ -184,25 +173,26 @@ def enumerate_lhv_bound(scenario: Scenario, functional: BellFunctional,
     n_a = int(np.prod([len(o) for o in scenario.outcomes_a]))
     n_b = int(np.prod([len(o) for o in scenario.outcomes_b]))
     check_enum_cap(n_a * n_b)
+    weights = [(t.setting_a, t.setting_b, term_weights(t, scenario.outcomes_a[t.setting_a],
+                                                       scenario.outcomes_b[t.setting_b]))
+               for t in functional.terms]
+    arg, pick = (np.argmax, max) if sense == "max" else (np.argmin, min)
     strat_a = _strategies(scenario.outcomes_a)
     strat_b = _strategies(scenario.outcomes_b)
-    best_val = best_idx = None
+    best = []
     # chunk the A side so the value matrix stays bounded in memory
     for start in range(0, n_a, _CHUNK):
         block_a = strat_a[start:start + _CHUNK]
         values = np.zeros((len(block_a), n_b))
-        for term in functional.terms:
-            values += _term_matrix(term, block_a, strat_b)
-        flat = np.argmax(values) if sense == "max" else np.argmin(values)
-        val = float(values.flat[flat])
-        if (best_val is None or (sense == "max" and val > best_val)
-                or (sense == "min" and val < best_val)):
-            best_val = val
-            best_idx = (start + flat // n_b, flat % n_b)
+        for i, j, w in weights:  # w[a_i, b_j] for every pair: a row take, then a column take
+            values += w.take(block_a[:, i], axis=0).take(strat_b[:, j], axis=1)
+        flat = int(arg(values))
+        best.append((float(values.flat[flat]), start + flat // n_b, flat % n_b))
+    value, k_a, k_b = pick(best, key=lambda b: b[0])  # the first of equal extrema, as `arg`
     witness = DeterministicStrategy(
-        outcomes_a=tuple(strat_a[best_idx[0]]),
-        outcomes_b=tuple(strat_b[best_idx[1]]))
-    return best_val, witness
+        outcomes_a=tuple(float(o[k]) for o, k in zip(scenario.outcomes_a, strat_a[k_a])),
+        outcomes_b=tuple(float(o[k]) for o, k in zip(scenario.outcomes_b, strat_b[k_b])))
+    return value, witness
 
 
 def symmetric_lhv_min(n_atoms: int):

@@ -34,6 +34,7 @@ from .spin import SpinQuantum, UnitVector, build_spin_rep
 from .states import BipartiteState, MultiQubitState, SymmetricState, spin_correlation_matrix
 
 GRID_CAP = 10 ** 5
+CGLMP_HVT_BOUND = 4.0  # reported next to the claimed LHVT bound, cglmp_functional(d).bound
 
 # ---------------------------------------------------------------------------
 # converters: (value, where) -> checked value
@@ -193,10 +194,11 @@ def _over_vectors(count: int, coplanar: bool, objective, report):
 
 def _chsh_search(state: BipartiteState, coplanar: bool):
     # S is bilinear in the directions: sum_ij coef[i, j] u_i^T T v_j = sum_i (u_i^T T).(coef V)_i
+    functional = generalized_chsh_functional(state.s_a.two_s, state.s_b.two_s)
     coef = np.zeros((2, 2))
-    for term in generalized_chsh_functional(state.s_a.two_s, state.s_b.two_s).terms:
+    for term in functional.terms:
         coef[term.setting_a, term.setting_b] += term.coef
-    t, bound = spin_correlation_matrix(state), 0.5 * state.s_a.two_s * state.s_b.two_s
+    t, bound = spin_correlation_matrix(state), functional.bound
     return _over_vectors(4, coplanar, lambda d: abs(np.vdot(d[:2] @ t, coef @ d[2:])) - bound,
                          lambda *vs: chsh_value(state, *vs))
 
@@ -281,16 +283,17 @@ def _lhv_chsh(p):
     functional = generalized_chsh_functional(two_a, two_b)
     bound, witness = enumerate_lhv_bound(scenario, functional, "max")
     return {"functional": functional.name, "enumerated_bound": bound,
-            "stated_bound": 0.5 * two_a * two_b, "witness": _witness(witness)}
+            "stated_bound": functional.bound, "witness": _witness(witness)}
 
 
 def _lhv_cglmp(p):
-    d = p["d"]
-    bound, witness = enumerate_lhv_bound(cglmp_scenario(d), cglmp_functional(d), "max")
-    return {"functional": f"cglmp_d{d}", "enumerated_bound": bound,
-            "claimed_lhvt_bound": 3.0, "hvt_bound": 4.0,
-            "agrees_with_claimed_lhvt_bound": abs(bound - 3.0) <= 1e-9,
-            "satisfies_hvt_bound": bound <= 4.0 + 1e-9, "witness": _witness(witness)}
+    scenario = cglmp_scenario(p["d"])  # its capacity check, before cglmp_functional's d pairs
+    functional = cglmp_functional(p["d"])
+    bound, witness = enumerate_lhv_bound(scenario, functional, "max")
+    return {"functional": functional.name, "enumerated_bound": bound,
+            "claimed_lhvt_bound": functional.bound, "hvt_bound": CGLMP_HVT_BOUND,
+            "agrees_with_claimed_lhvt_bound": abs(bound - functional.bound) <= 1e-9,
+            "satisfies_hvt_bound": bound <= CGLMP_HVT_BOUND + 1e-9, "witness": _witness(witness)}
 
 
 def _lhv_tura(p):
@@ -351,7 +354,8 @@ FUNCTIONALS = {
     "cglmp_I": Functional(
         params=record({"tables": list_of(MATRIX), "d": INT}),
         evaluate=lambda st, s, p: {"functional": "cglmp_I", "value": cglmp_I(p["tables"], p["d"]),
-                                   "claimed_lhvt_bound": 3.0, "hvt_bound": 4.0}),
+                                   "claimed_lhvt_bound": cglmp_functional(p["d"]).bound,
+                                   "hvt_bound": CGLMP_HVT_BOUND}),
     "cfrd_weights": Functional(params=record({"two_s": INT}),
                                optimize=lambda p: SpinQuantum(p["two_s"])),
     "generalized_chsh": Functional(params=_CHSH_PARAMS, lhv_bound=_lhv_chsh),

@@ -37,7 +37,6 @@ from bellkit.states import (
 from bellkit.states import MeasurementSetting, SymmetricState
 from bellkit.functionals import (
     cfrd_quadrature_margin,
-    chsh_functional,
     drummond_margin,
     generalized_chsh_functional,
     mabk_value,
@@ -132,7 +131,7 @@ def test_criterion_02_chsh_reduction():
 @criterion(3, "enumerated LHV: CHSH max 0.5; generalized (2sA)(2sB)/2, s <= 2", 60)
 def test_criterion_03_lhv_bounds():
     bound, _ = enumerate_lhv_bound(two_setting_spin_scenario(1, 1),
-                                   chsh_functional(), "max")
+                                   generalized_chsh_functional(1, 1), "max")
     assert bound == 0.5
     for two_a in range(1, 5):
         for two_b in range(1, 5):

@@ -142,25 +142,29 @@ def test_scan_csv(tmp_path):
     assert lines[0].split(",")[0] == "parameter"
 
 
-def test_lhv_bound_cglmp_adjudication(tmp_path):
-    spec = {"functional": {"name": "cglmp", "params": {"d": 3}}}
-    path = write_spec(tmp_path, "s.json", spec)
+def _lhv_bound_report(tmp_path, functional):
+    path = write_spec(tmp_path, "s.json", {"functional": functional})
     out = tmp_path / "r.json"
     assert run(["lhv-bound", "--spec", path, "--out", str(out)]) == EXIT_OK
     rep = json.loads(out.read_text())["report"]
-    assert rep["enumerated_bound"] == 3.0
-    assert rep["agrees_with_claimed_lhvt_bound"] is True
-    assert rep["satisfies_hvt_bound"] is True
+    # witness entries are written as JSON floats (0.0, not 0) whatever the outcome lists hold
+    assert all(type(x) is float for x in rep["witness"]["a"] + rep["witness"]["b"])
+    return rep
+
+
+def test_lhv_bound_cglmp_adjudication(tmp_path):
+    rep = _lhv_bound_report(tmp_path, {"name": "cglmp", "params": {"d": 3}})
+    assert rep == {"functional": "cglmp_d3", "enumerated_bound": 3.0,
+                   "claimed_lhvt_bound": 3.0, "hvt_bound": 4.0,
+                   "agrees_with_claimed_lhvt_bound": True, "satisfies_hvt_bound": True,
+                   "witness": {"a": [0.0, 0.0], "b": [0.0, 0.0]}}
 
 
 def test_lhv_bound_generalized_chsh(tmp_path):
-    spec = {"functional": {"name": "generalized_chsh",
-                           "params": {"two_s_a": 2, "two_s_b": 3}}}
-    path = write_spec(tmp_path, "s.json", spec)
-    out = tmp_path / "r.json"
-    assert run(["lhv-bound", "--spec", path, "--out", str(out)]) == EXIT_OK
-    rep = json.loads(out.read_text())["report"]
-    assert rep["enumerated_bound"] == rep["stated_bound"] == 3.0
+    rep = _lhv_bound_report(tmp_path, {"name": "generalized_chsh",
+                                       "params": {"two_s_a": 2, "two_s_b": 3}})
+    assert rep == {"functional": "generalized_chsh", "enumerated_bound": 3.0,
+                   "stated_bound": 3.0, "witness": {"a": [1.0, 1.0], "b": [1.5, 1.5]}}
 
 
 def test_threads_flag_does_not_change_results(tmp_path):

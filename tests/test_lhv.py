@@ -8,10 +8,12 @@ from bellkit.errors import CapacityError, ValidationError
 from bellkit.spin import SpinQuantum, UnitVector, build_spin_rep, spin_component
 from bellkit.states import separable_mixture
 from bellkit.functionals import (
+    BellFunctional,
+    CorrelatorTerm,
     PairEventTerm,
     cglmp_functional,
-    chsh_functional,
     chsh_value,
+    functional_value,
     generalized_chsh_functional,
 )
 from bellkit.lhv import (
@@ -51,7 +53,7 @@ def test_scenario_validation():
 
 def test_chsh_enumerated_bound():
     sc = two_setting_spin_scenario(1, 1)
-    bound, witness = enumerate_lhv_bound(sc, chsh_functional(), "max")
+    bound, witness = enumerate_lhv_bound(sc, generalized_chsh_functional(1, 1), "max")
     assert bound == 0.5
     # the witness strategy must attain the bound
     a, b = witness.outcomes_a, witness.outcomes_b
@@ -70,10 +72,10 @@ def test_generalized_chsh_enumerated_bound():
 
 def test_enumeration_min_sense():
     sc = two_setting_spin_scenario(1, 1)
-    low, _ = enumerate_lhv_bound(sc, chsh_functional(), "min")
+    low, _ = enumerate_lhv_bound(sc, generalized_chsh_functional(1, 1), "min")
     assert low == -0.5
     with pytest.raises(ValidationError):
-        enumerate_lhv_bound(sc, chsh_functional(), "extremum")
+        enumerate_lhv_bound(sc, generalized_chsh_functional(1, 1), "extremum")
 
 
 def test_enumeration_capacity_cap():
@@ -87,6 +89,59 @@ def test_cglmp_enumerated_value():
         bound, witness = enumerate_lhv_bound(cglmp_scenario(d), cglmp_functional(d), "max")
         assert abs(bound - 3.0) < 1e-12, d
         assert len(witness.outcomes_a) == 2
+
+
+def _one_hot_tables(sc, row_a, row_b):
+    """Joint tables of the deterministic strategy pair that picks outcome index row_a[i] for
+    A setting i and row_b[j] for B setting j."""
+    return [[np.outer(np.eye(len(oa))[ka], np.eye(len(ob))[kb])
+             for ob, kb in zip(sc.outcomes_b, row_b)] for oa, ka in zip(sc.outcomes_a, row_a)]
+
+
+def _witness_model(sc, witness):
+    """The deterministic LhvModel of an enumeration witness."""
+    def responses(outcome_lists, values):
+        return [[np.eye(len(o))[list(o).index(v)] for o, v in zip(outcome_lists, values)]]
+    return LhvModel(sc, np.ones(1), responses(sc.outcomes_a, witness.outcomes_a),
+                    responses(sc.outcomes_b, witness.outcomes_b))
+
+
+# a pair listed twice counts once: the term is P((alpha, beta) in pairs)
+REPEATED_PAIR = BellFunctional("repeated_pair", 2, 2, (
+    PairEventTerm(1.0, 0, 0, ((0, 0), (0, 0))), CorrelatorTerm(-0.5, 1, 1),
+    PairEventTerm(0.75, 1, 0, ((1, 0), (0, 1), (1, 0)))), bound=1.75)
+
+
+def test_enumeration_agrees_with_one_hot_tables():
+    # the enumerated extrema against a brute force over itertools.product that scores each
+    # strategy pair's one-hot tables with functional_value; the witness's model attains them
+    cases = [(two_setting_spin_scenario(1, 1), generalized_chsh_functional(1, 1)),
+             (two_setting_spin_scenario(2, 3), generalized_chsh_functional(2, 3)),
+             (cglmp_scenario(2), REPEATED_PAIR)]
+    cases += [(cglmp_scenario(d), cglmp_functional(d)) for d in (2, 3, 4)]
+    for sc, f in cases:
+        rows_a = list(itertools.product(*(range(len(o)) for o in sc.outcomes_a)))
+        rows_b = list(itertools.product(*(range(len(o)) for o in sc.outcomes_b)))
+        values = [functional_value(f, sc.outcomes_a, sc.outcomes_b, _one_hot_tables(sc, ra, rb))
+                  for ra in rows_a for rb in rows_b]
+        for sense, pick in (("max", max), ("min", min)):
+            bound, witness = enumerate_lhv_bound(sc, f, sense)
+            assert abs(bound - pick(values)) <= 1e-12, (f.name, sense)
+            assert all(type(x) is float for x in witness.outcomes_a + witness.outcomes_b)
+            assert abs(functional_model_value(_witness_model(sc, witness), f) - bound) <= 1e-12
+    assert enumerate_lhv_bound(cglmp_scenario(2), REPEATED_PAIR, "max")[0] == REPEATED_PAIR.bound
+
+
+def test_inadmissible_pair_refused_on_every_path():
+    sc = cglmp_scenario(2)
+    outside = BellFunctional("outside", 2, 2, (PairEventTerm(1.0, 0, 0, ((0, 0), (5, 5))),),
+                             bound=1.0)
+    with pytest.raises(ValidationError):
+        enumerate_lhv_bound(sc, outside, "max")
+    with pytest.raises(ValidationError):
+        functional_value(outside, sc.outcomes_a, sc.outcomes_b, _one_hot_tables(sc, (0, 0), (0, 0)))
+    with pytest.raises(ValidationError):
+        functional_model_value(random_model(sc, np.random.default_rng(3)), outside)
 
 
 def test_stochastic_models_never_beat_vertices():
@@ -104,7 +159,7 @@ def test_stochastic_models_never_beat_vertices():
 def test_functional_model_value_matches_summed_queries():
     # each term summed by hand from lhv_model_eval's mean and joint queries
     rng = np.random.default_rng(41)
-    cases = [(two_setting_spin_scenario(1, 1), chsh_functional()),
+    cases = [(two_setting_spin_scenario(1, 1), generalized_chsh_functional(1, 1)),
              (two_setting_spin_scenario(3, 2), generalized_chsh_functional(3, 2)),
              (cglmp_scenario(3), cglmp_functional(3)), (cglmp_scenario(5), cglmp_functional(5))]
     for sc, f in cases:
@@ -286,5 +341,7 @@ def test_strategies_in_product_order():
     # itertools.product's order
     for lists in (((0.5, -0.5), (1, 0, -1)), ((2, 1, 0), (7,), (0.5, -0.5)),
                   ((1.5, 0.5, -0.5, -1.5), (0, 1))):
-        want = np.array(list(itertools.product(*lists)), dtype=float)
-        assert np.array_equal(_strategies(lists), want)
+        rows = _strategies(lists)
+        assert rows.shape == (math.prod(len(o) for o in lists), len(lists))
+        assert [tuple(o[k] for o, k in zip(lists, row)) for row in rows] == list(
+            itertools.product(*lists))

@@ -253,3 +253,27 @@ def test_optimize_settings_refuses_a_state_of_the_wrong_class():
         optimize_settings(dicke(4, 2), "chsh", SearchConfig(seed=1, restarts=1))
     with pytest.raises(ValidationError):
         optimize_settings(singlet(1), "tura", SearchConfig(seed=1, restarts=1))
+
+
+def _random_factor(d, pure, rng):
+    """A random density matrix of dimension d: a projector when pure."""
+    shape = (d, 1 if pure else d)
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+def test_separable_mixtures_never_flagged_as_violating():
+    # the property oracle: a separable mixture is an LHV model, so no settings search may
+    # report a violation on one; d = 2, 3, one or two components, pure and mixed factors
+    rng = np.random.default_rng(2024)
+    for k in range(12):
+        d, n_comp = int(rng.integers(2, 4)), 1 + k % 2
+        weights = rng.dirichlet(np.ones(n_comp))
+        comps = [(float(w), _random_factor(d, rng.random() < 0.5, rng),
+                  _random_factor(d, rng.random() < 0.5, rng)) for w in weights]
+        state = separable_mixture(comps)
+        for name in ("chsh", "mermin", "reid"):
+            config = SearchConfig(seed=k, restarts=2, max_evals_per_restart=200)
+            rep = optimize_settings(state, name, config)
+            assert not rep.violation, (k, d, n_comp, name, rep.margin)
