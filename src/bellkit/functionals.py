@@ -320,22 +320,31 @@ def reid_ratio(state: BipartiteState, theta: float, theta_star: float,
         sb = MeasurementSetting("B", _reid_direction(ph), zero_policy)
         return binned_joint_probability(state, sa, sb)
 
-    num = float(table(theta, phi)[0, 0] - table(theta, phi_star)[0, 0]
-                + table(theta_star, phi)[0, 0] + table(theta_star, phi_star)[0, 0])
+    joint = [[table(a, b)[0, 0] for b in (phi, phi_star)] for a in (theta, theta_star)]
     rep_a = build_spin_rep(state.s_a)
     rep_b = build_spin_rep(state.s_b)
     pa_plus, _ = sign_projectors(spin_component(rep_a, _reid_direction(theta_star)), zero_policy)
     pb_plus, _ = sign_projectors(spin_component(rep_b, _reid_direction(phi)), zero_policy)
-    den = expect_side(state, pa_plus, "A") + expect_side(state, pb_plus, "B")
-    if den <= 1e-12:
-        raise DegenerateConditionError("denominator of the Reid ratio vanishes")
-    ratio = num / den
+    ratio, num, den = reid_fraction(joint, expect_side(state, pa_plus, "A"),
+                                    expect_side(state, pb_plus, "B"))
     return ViolationReport(
         functional="reid", value=ratio, bound=1.0, margin=ratio - 1.0,
         violation=ratio - 1.0 > VIOLATION_TOL,
         settings=[float(x) for x in (theta, theta_star, phi, phi_star)],
         state_meta=dict(state.meta),
         extra={"numerator": num, "denominator": den, "zero_policy": zero_policy})
+
+
+def reid_fraction(joint, plus_theta_star: float, plus_phi: float) -> tuple:
+    """(ratio, numerator, denominator) of reid_ratio from
+    joint[i][j] = P(+,+ | (theta, theta*)[i], (phi, phi*)[j]) and the
+    marginals P(+|theta*), P(+|phi); DegenerateConditionError when the
+    denominator is at most 1e-12."""
+    num = float(joint[0][0] - joint[0][1] + joint[1][0] + joint[1][1])
+    den = plus_theta_star + plus_phi
+    if den <= 1e-12:
+        raise DegenerateConditionError("denominator of the Reid ratio vanishes")
+    return num / den, num, den
 
 
 def cfrd_margin(state: BipartiteState, obs_a1, obs_a2, obs_b1, obs_b2) -> ViolationReport:

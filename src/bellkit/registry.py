@@ -27,7 +27,7 @@ from .errors import CapacityError, DegenerateConditionError, UnknownNameError, V
 from .functionals import (
     cfrd_margin, cfrd_quadrature_margin, cglmp_I, cglmp_functional, chsh_value, drummond_margin,
     generalized_chsh_functional, mabk_value, mermin_check, mermin_coplanar_vectors, mermin_gap,
-    mermin_sides, reid_ratio, tura_value, tura_witness, VIOLATION_TOL,
+    mermin_sides, reid_fraction, reid_ratio, tura_value, tura_witness, VIOLATION_TOL,
 )
 from .lhv import cglmp_scenario, enumerate_lhv_bound, symmetric_lhv_min, two_setting_spin_scenario
 from .spin import SpinQuantum, UnitVector, build_spin_rep
@@ -228,11 +228,20 @@ def _tura_search(state: SymmetricState, coplanar: bool):
 
 
 def _reid_search(state: BipartiteState, coplanar: bool):
+    # every P(+,+) and P(+|.) that reid_ratio reads is a trigonometric series in the angles:
+    # one compile, then per step two phase rows per side, the 2x2 table and two dot products;
+    # only a vanishing denominator scores -inf
+    joint, plus_a, plus_b = states.sign_bin_series(state)
+    two_a, two_b = state.s_a.two_s, state.s_b.two_s
+
     def objective(x):
+        e_a, e_b = states.sign_bin_phases(two_a, x[:2]), states.sign_bin_phases(two_b, x[2:])
         try:
-            return reid_ratio(state, *x).margin
+            ratio = reid_fraction(np.clip((e_a @ joint @ e_b.T).real, 0.0, 1.0),
+                                  (plus_a @ e_a[1]).real, (plus_b @ e_b[0]).real)[0]
         except DegenerateConditionError:
             return -math.inf
+        return ratio - 1.0
 
     return [(0.0, math.pi)] * 4, objective, lambda x: reid_ratio(state, *x)
 

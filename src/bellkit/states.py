@@ -434,6 +434,75 @@ def binned_joint_probability(state: BipartiteState, setting_a: MeasurementSettin
     return np.clip(table, 0.0, 1.0)
 
 
+def sign_bin_series(state: BipartiteState) -> tuple:
+    """(joint, plus_a, plus_b): the + bins (zero policy "plus") of
+    sign-binned spin measurements along the x-z directions
+    (sin 2a, 0, cos 2a) as trigonometric series in the angles,
+
+      P(+,+ | a, b) = Re sum_pq joint[p, q] e^{2iap} e^{2ibq},
+      P(+ | a) = Re sum_p plus_a[p] e^{2iap}, P(+ | b) from plus_b alike,
+
+    offsets p = -2s_A ... 2s_A and q = -2s_B ... 2s_B, whose phases
+    sign_bin_phases gives.
+
+    The + bin at angle a is exp(-2ia S_y) D exp(2ia S_y), D the m >= 0
+    projector, and exp(-2ia S_y) = V E(2a) V^dagger with (m, V, .) the
+    rotation_basis and E(b) = diag(e^{ibm}).  In the frame
+    x = V_A^dagger psi V_B^* (rho alike) the bin is E(2a) H E(2a)^* with
+    H = V^dagger D V, whose entry (i, i + p) carries the phase e^{2iap}.
+    So joint[p, :] sums the diagonals of M_p * H_B, with
+    M_p[j, l] = sum_i x[i, j]^* H_A[i, i + p] x[i + p, l]: one d^3
+    product per offset p >= 0, as P is real, and no temporary larger
+    than psi or rho."""
+    (v_a, h_a), (v_b, h_b) = (_plus_bin_frame(s) for s in (state.s_a, state.s_b))
+    plus_a, plus_b = (_diagonal_sums((v.conj().T @ state.reduced(side) @ v).T * h)
+                      for side, v, h in (("A", v_a, h_a), ("B", v_b, h_b)))
+    d_a, d_b = state.dims
+    swap = state.kind == "pure" and d_a < d_b  # then M_p runs over B's offsets, within psi
+    if state.kind == "pure":
+        x = v_a.conj().T @ state.psi @ v_b.conj()
+        if swap:  # joint's formula is symmetric under (x, H_A, H_B) -> (x^T, H_B, H_A)
+            x, h_a, h_b = x.T, h_b, h_a
+    else:
+        def rotate(mat):  # (V_A (x) V_B)^dagger mat, one side at a time
+            t = (v_a.conj().T @ mat.reshape(d_a, -1)).reshape(d_a, d_b, -1)
+            return (v_b.conj().T @ t).reshape(mat.shape)
+
+        r = rotate(rotate(state.rho).conj().T).conj().T.reshape(d_a, d_b, d_a, d_b)
+    d = len(h_a)
+    joint = np.empty((2 * d - 1, 2 * len(h_b) - 1), dtype=complex)
+    for p in range(d):  # H_A[i, i + p] for i < d - p
+        h_p = np.diagonal(h_a, p)
+        if state.kind == "pure":
+            m_p = (x[:d - p].conj().T * h_p) @ x[p:]
+        else:  # r[i + p, l, i, j] stands for x[i + p, l] x[i, j]^*
+            m_p = np.tensordot(h_p, r[np.arange(p, d), :, np.arange(d - p), :], 1).T
+        joint[d - 1 + p] = _diagonal_sums(m_p * h_b)
+    joint[:d - 1] = joint[:d - 1:-1, ::-1].conj()  # P is real: joint[-p, -q] = joint[p, q]^*
+    return (joint.T if swap else joint), plus_a, plus_b
+
+
+def sign_bin_phases(two_s: int, angles) -> np.ndarray:
+    """Rows e^{2iap}, p = -2s ... 2s, one per angle a: the phases of
+    sign_bin_series' coefficients."""
+    return np.exp(2j * np.outer(angles, np.arange(-two_s, two_s + 1)))
+
+
+def _plus_bin_frame(s: SpinQuantum) -> tuple:
+    """(V, H = V^dagger D V) of sign_bin_series for one spin."""
+    m, v, v_dagger = build_spin_rep(s).rotation_basis
+    return v, v_dagger @ ((m >= 0)[:, None] * v)
+
+
+def _diagonal_sums(mat: np.ndarray) -> np.ndarray:
+    """out[q + d - 1] = sum_j mat[j, j + q] for q = 1 - d ... d - 1."""
+    d = len(mat)
+    offsets = (np.arange(d) - np.arange(d)[:, None]).ravel() + d - 1
+    flat = mat.ravel()
+    return (np.bincount(offsets, flat.real, 2 * d - 1)
+            + 1j * np.bincount(offsets, flat.imag, 2 * d - 1))
+
+
 def uncertainty_margin(state: BipartiteState, obs_1, obs_2, side: str = "A") -> float:
     """Delta(O1) Delta(O2) - |<M>|/2 with M = -i [O1, O2], both
     observables on the same subsystem.  Non-negative for every quantum

@@ -5,7 +5,7 @@ import itertools
 
 import numpy as np
 
-from bellkit.spin import HermitianObservable
+from bellkit.spin import HermitianObservable, SpinQuantum, build_spin_rep
 
 
 def symmetric_lhv_min_bruteforce(n_atoms: int):
@@ -53,3 +53,27 @@ def degenerate_observable(d, rng):
     basis = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
     levels = np.resize([2.0, -1.0, 2.0, 0.5, -1.0], d)
     return HermitianObservable.from_matrix(basis @ np.diag(levels) @ basis.conj().T)
+
+
+def dense_plus_bin(two_s, angle, zero_policy="plus"):
+    """Pi_+ of S_z cos(2 angle) + S_x sin(2 angle) from its eigh, with the
+    zero eigenvalue found by tolerance."""
+    rep = build_spin_rep(SpinQuantum(two_s))
+    evals, evecs = np.linalg.eigh(np.cos(2 * angle) * rep.sz + np.sin(2 * angle) * rep.sx)
+    keep = (evals > 1e-9) | ((np.abs(evals) <= 1e-9) & (zero_policy == "plus"))
+    return evecs[:, keep] @ evecs[:, keep].conj().T
+
+
+def dense_reid_ratio_maximally_entangled(n, angles, zero_policy="plus"):
+    """The Reid ratio of maximally_entangled(n) at angles (theta, theta*,
+    phi, phi*) from dense_plus_bin: psi = 1/sqrt(d), so
+    P(+,+) = Tr(Pa Pb^T) / d and both marginals are Tr(P) / d."""
+    theta, theta_star, phi, phi_star = angles
+    plus = {a: dense_plus_bin(n, a, zero_policy) for a in angles}
+
+    def p_pp(a, b):
+        return np.trace(plus[a] @ plus[b].T).real / (n + 1)
+
+    num = p_pp(theta, phi) - p_pp(theta, phi_star) + p_pp(theta_star, phi) \
+        + p_pp(theta_star, phi_star)
+    return num / ((np.trace(plus[theta_star]).real + np.trace(plus[phi]).real) / (n + 1))

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from bellkit.errors import CapacityError, ValidationError
-from bellkit.registry import FUNCTIONALS
+from bellkit.errors import CapacityError, DegenerateConditionError, ValidationError
+from bellkit.functionals import reid_ratio
+from bellkit.registry import FAMILIES, FUNCTIONALS, build_state
 from bellkit.spin import SpinQuantum, build_spin_rep
 from bellkit.states import (
-    SymmetricState, angular_momentum_eigenstate, dicke, maximally_entangled, random_pure_state,
-    relative_phase, separable_mixture, singlet, werner,
+    BipartiteState, SymmetricState, angular_momentum_eigenstate, dicke, maximally_entangled,
+    random_pure_state, relative_phase, rm_weighted, separable_mixture, singlet, werner,
 )
 from bellkit.search import (
     ScanSpec,
@@ -20,6 +21,7 @@ from bellkit.search import (
     pattern_search_max,
     scan_parameter,
 )
+from reference import dense_reid_ratio_maximally_entangled
 
 
 def test_search_config_validation():
@@ -236,15 +238,82 @@ def test_scan_grid_validation():
 
 
 def test_reid_search_propagates_real_errors(monkeypatch):
-    # only a vanishing denominator counts as a failed evaluation
+    # only a vanishing denominator counts as a failed evaluation: an error in
+    # reid_ratio at the optimum, or in the compiled scorer at a step, reaches the caller
     import bellkit.registry
 
-    def broken(*args, **kwargs):
-        raise RuntimeError("evaluator bug")
+    def broken(name):
+        def raise_error(*args, **kwargs):
+            raise RuntimeError(f"{name} bug")
+        return raise_error
 
-    monkeypatch.setattr(bellkit.registry, "reid_ratio", broken)
-    with pytest.raises(RuntimeError, match="evaluator bug"):
-        optimize_settings(maximally_entangled(1), "reid", SearchConfig(seed=1, restarts=1))
+    for name in ("reid_ratio", "reid_fraction"):
+        monkeypatch.setattr(bellkit.registry, name, broken(name))
+        with pytest.raises(RuntimeError, match=f"{name} bug"):
+            optimize_settings(maximally_entangled(1), "reid", SearchConfig(seed=1, restarts=1))
+
+
+# one or more states per bipartite family: unequal spins, mixed states and mixtures
+_REID_FAMILY_PARAMS = {
+    "maximally_entangled": [{"n": 1}, {"n": 4}, {"n": 21}],
+    "relative_phase": [{"n": 3, "theta": 0.7}],
+    "werner": [{"n": 1, "phi": -0.6}, {"n": 2, "phi": 1.0}, {"n": 6, "phi": 0.3}],
+    "angular_momentum_eigenstate": [{"n_a": 2, "n_b": 3, "j": 1.5, "k": 0.5},
+                                    {"n_a": 4, "n_b": 1, "j": 1.5, "k": -0.5}],
+    "singlet": [{"two_s": 1}, {"two_s": 3}],
+    "rm_weighted": [{"two_s": 2, "r": [1.0, -2.0, 3.0]}, {"two_s": 1, "r": [0.0, 1.0]}],
+    "separable_mixture": [
+        {"components": [{"weight": 0.4, "rho_a": [[0.7, 0.2], [0.2, 0.3]],
+                         "rho_b": [[0.5, 0.1, 0.0], [0.1, 0.3, 0.1], [0.0, 0.1, 0.2]]},
+                        {"weight": 0.6, "rho_a": [[0.1, 0.0], [0.0, 0.9]],
+                         "rho_b": [[0.2, 0.0, 0.1], [0.0, 0.6, 0.0], [0.1, 0.0, 0.2]]}]}],
+}
+
+
+def test_reid_compiled_objective_equals_reid_ratio():
+    assert set(_REID_FAMILY_PARAMS) == {n for n, f in FAMILIES.items() if f.kind is BipartiteState}
+    rng = np.random.default_rng(88)
+    for name, cases in _REID_FAMILY_PARAMS.items():
+        for params in cases:
+            st = build_state(name, params)
+            ranges, objective, _ = FUNCTIONALS["reid"].optimize(st, False)
+            for _ in range(10):
+                x = np.array([rng.uniform(lo - 1.0, hi + 1.0) for lo, hi in ranges])
+                try:
+                    want = reid_ratio(st, *x).margin
+                except DegenerateConditionError:
+                    want = -math.inf
+                got = objective(x)
+                assert got == want or abs(got - want) <= 1e-12, (name, params, x, got, want)
+    # |down, down>: both + bins are empty at all-zero angles
+    down_down = rm_weighted(SpinQuantum(1), [0.0, 1.0])
+    with pytest.raises(DegenerateConditionError):
+        reid_ratio(down_down, 0.0, 0.0, 0.0, 0.0)
+    assert FUNCTIONALS["reid"].optimize(down_down, False)[1](np.zeros(4)) == -math.inf
+
+
+def test_reid_search_calls_reid_ratio_once_at_the_optimum(monkeypatch):
+    import bellkit.registry
+
+    calls = []
+
+    def counted(state, *angles, **kwargs):
+        calls.append([float(a) for a in angles])
+        return reid_ratio(state, *angles, **kwargs)
+
+    monkeypatch.setattr(bellkit.registry, "reid_ratio", counted)
+    rep = optimize_settings(werner(2, -0.5), "reid",
+                            SearchConfig(seed=4, restarts=3, max_evals_per_restart=100))
+    assert calls == [rep.settings]
+
+
+def test_reid_search_macroscopic_spin():
+    # N = 200: the compiled search reaches a violation in about a second,
+    # and the ratio at its angles matches the dense eigh oracle
+    rep = optimize_settings(maximally_entangled(200), "reid",
+                            SearchConfig(seed=11, restarts=2, max_evals_per_restart=500))
+    assert rep.value > 1.0 + 1e-6
+    assert abs(rep.value - dense_reid_ratio_maximally_entangled(200, rep.settings)) <= 1e-12
 
 
 def test_optimize_settings_refuses_a_state_of_the_wrong_class():
