@@ -172,6 +172,11 @@ def _vec(u: UnitVector) -> list:
     return [u.ux, u.uy, u.uz]
 
 
+def _dot(a, b):
+    """a . b over the last axis: one number per row of a stack."""
+    return np.einsum("...i,...i->...", a, b)
+
+
 # ---------------------------------------------------------------------------
 # evaluators
 
@@ -227,7 +232,8 @@ def mermin_check(state: BipartiteState, a: UnitVector, b: UnitVector, c: UnitVec
     sval = state.s_a.s
     mean, second = spin_moments(state)
     va, vb = a.as_array(), b.as_array()
-    lhs, rhs = mermin_sides(sval, second, va, vb, c.as_array())
+    lhs, rhs, premise_gap = map(float, mermin_sides(mermin_forms(sval, second),
+                                                    np.array([va, vb, c.as_array()])))
     if reading == "absolute_of_difference":
         rep = build_spin_rep(state.s_a)
         alphas, betas, table = joint_distribution(
@@ -238,7 +244,7 @@ def mermin_check(state: BipartiteState, a: UnitVector, b: UnitVector, c: UnitVec
         lhs = sval * abs(float(np.concatenate([va, -vb]) @ mean))
     elif reading != "squared_difference":
         raise ValidationError(f"unknown reading {reading!r}")
-    margin, premise_gap = lhs - rhs, mermin_gap(second, vb)
+    margin = lhs - rhs
     return ViolationReport(
         functional="mermin", value=lhs, bound=rhs, margin=margin,
         violation=margin < -VIOLATION_TOL and premise_gap <= VIOLATION_TOL * max(1.0, sval ** 2),
@@ -247,16 +253,25 @@ def mermin_check(state: BipartiteState, a: UnitVector, b: UnitVector, c: UnitVec
         extra={"reading": reading, "lhs": lhs, "rhs": rhs, "premise_gap": premise_gap})
 
 
-def mermin_gap(second: np.ndarray, vb) -> float:
-    """The premise gap <(b.S^A + b.S^B)^2> at direction vb."""
-    both_b = np.concatenate([vb, vb])
-    return float(both_b @ second @ both_b)
+def mermin_forms(sval: float, second: np.ndarray) -> np.ndarray:
+    """Symmetric 9 x 9 forms F[0..2] with (lhs, rhs, premise gap) = v^T F v at v = (a, b, c),
+    from the bipartite spin moments second: the squared_difference reading's lhs = s <Delta^2>
+    with Delta = a.S^A - b.S^B, rhs = <S_Aa S_Bc> + <S_Ab S_Bc>, and <(b.S^A + b.S^B)^2>."""
+    aa, ab, bb = second[:3, :3], second[:3, 3:], second[3:, 3:]
+    f = np.zeros((3, 9, 9))
+    f[0, :3, :3], f[0, 3:6, 3:6] = sval * aa, sval * bb
+    f[0, :3, 3:6], f[0, 3:6, :3] = -sval * ab, -sval * ab.T
+    f[1, :3, 6:] = f[1, 3:6, 6:] = 0.5 * ab
+    f[1, 6:, :3] = f[1, 6:, 3:6] = 0.5 * ab.T
+    f[2, 3:6, 3:6] = aa + ab + ab.T + bb
+    return f
 
 
-def mermin_sides(sval: float, second: np.ndarray, va, vb, vc) -> tuple:
-    """squared_difference's (lhs, rhs) = (s <Delta^2>, <S_Aa S_Bc> + <S_Ab S_Bc>) at va, vb, vc."""
-    delta = np.concatenate([va, -vb])  # Delta = a.S^A - b.S^B
-    return sval * float(delta @ second @ delta), float((va + vb) @ second[:3, 3:] @ vc)
+def mermin_sides(forms: np.ndarray, rows: np.ndarray) -> tuple:
+    """(lhs, rhs, premise gap) of mermin_forms at the directions rows = (a, b, c), or one of
+    each per (3, 3) block of a (k, 3, 3) stack."""
+    v = rows.reshape(*rows.shape[:-2], 9)
+    return tuple(_dot(v @ forms, v))
 
 
 def mermin_coplanar_vectors(theta: float):
@@ -325,8 +340,10 @@ def reid_ratio(state: BipartiteState, theta: float, theta_star: float,
     rep_b = build_spin_rep(state.s_b)
     pa_plus, _ = sign_projectors(spin_component(rep_a, _reid_direction(theta_star)), zero_policy)
     pb_plus, _ = sign_projectors(spin_component(rep_b, _reid_direction(phi)), zero_policy)
-    ratio, num, den = reid_fraction(joint, expect_side(state, pa_plus, "A"),
-                                    expect_side(state, pb_plus, "B"))
+    ratio, num, den = map(float, reid_fraction(
+        joint, expect_side(state, pa_plus, "A"), expect_side(state, pb_plus, "B")))
+    if ratio == -math.inf:
+        raise DegenerateConditionError("denominator of the Reid ratio vanishes")
     return ViolationReport(
         functional="reid", value=ratio, bound=1.0, margin=ratio - 1.0,
         violation=ratio - 1.0 > VIOLATION_TOL,
@@ -335,16 +352,19 @@ def reid_ratio(state: BipartiteState, theta: float, theta_star: float,
         extra={"numerator": num, "denominator": den, "zero_policy": zero_policy})
 
 
-def reid_fraction(joint, plus_theta_star: float, plus_phi: float) -> tuple:
+def reid_fraction(joint, plus_theta_star, plus_phi) -> tuple:
     """(ratio, numerator, denominator) of reid_ratio from
-    joint[i][j] = P(+,+ | (theta, theta*)[i], (phi, phi*)[j]) and the
-    marginals P(+|theta*), P(+|phi); DegenerateConditionError when the
-    denominator is at most 1e-12."""
-    num = float(joint[0][0] - joint[0][1] + joint[1][0] + joint[1][1])
-    den = plus_theta_star + plus_phi
-    if den <= 1e-12:
-        raise DegenerateConditionError("denominator of the Reid ratio vanishes")
-    return num / den, num, den
+    joint[..., i, j] = P(+,+ | (theta, theta*)[i], (phi, phi*)[j]) and the
+    marginals P(+|theta*), P(+|phi): one table and two numbers, or a
+    stack of tables and two arrays.  The ratio is -inf where the
+    denominator is at most 1e-12: reid_ratio raises
+    DegenerateConditionError there, and a search scores it below
+    every ratio."""
+    joint = np.asarray(joint)
+    num = joint[..., 0, 0] - joint[..., 0, 1] + joint[..., 1, 0] + joint[..., 1, 1]
+    den = np.add(plus_theta_star, plus_phi)
+    degenerate = den <= 1e-12
+    return np.where(degenerate, -math.inf, num / np.where(degenerate, 1.0, den)), num, den
 
 
 def cfrd_margin(state: BipartiteState, obs_a1, obs_a2, obs_b1, obs_b2) -> ViolationReport:
@@ -376,17 +396,33 @@ def cfrd_quadrature_margin(state: BipartiteState) -> float:
     return float(0.25 + np.trace(xy @ second @ xy.T) - np.sum((xy @ mean) ** 2))
 
 
-def tura_witness(n: int, mean: np.ndarray, second: np.ndarray, rows: np.ndarray) -> tuple:
-    """W = 2 S_0 + S_01 + 2N + (S_00 + S_11)/2 and (S_0, S_00, S_11, S_01) at the directions
-    rows = (n0, n1), from the collective spin moments <J> = mean and <J_i J_j> = second."""
-    (q00, q01), (_, q11) = (rows @ second @ rows.T).tolist()
-    s0 = 2.0 * float(rows[0] @ mean)
-    s00, s11 = 4.0 * q00 - n, 4.0 * q11 - n
+def tura_forms(n: int, mean: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Symmetric 7 x 7 forms F[0..4] with (W, S_0, S_00, S_11, S_01) = v^T F v at
+    v = (n0, n1, 1), from the collective spin moments <J> = mean and <J_i J_j> = second:
+    S_0 = 2 n0.<J>, S_kk = 4 <(J.n_k)^2> - N, S_01 = 4 n0^T second n1 - N n0.n1 and
+    W = 2 S_0 + S_01 + 2N + (S_00 + S_11)/2."""
+    f = np.zeros((5, 7, 7))
+    f[1, 6, :3] = f[1, :3, 6] = mean
+    f[2, :3, :3] = f[3, 3:6, 3:6] = 4.0 * second
+    f[2, 6, 6] = f[3, 6, 6] = -n
     # sum_{i != j} <m_i0 m_j1> = 2 <{J.n0, J.n1}> - N (n0.n1); the
     # antisymmetric part [J.n0, J.n1] = i J.(n0 x n1) cancels exactly
     # against the single-site contraction; tura_value reports its size
-    s01 = 4.0 * q01 - n * float(rows[0] @ rows[1])
-    return 2.0 * s0 + s01 + 2.0 * n + 0.5 * (s00 + s11), (s0, s00, s11, s01)
+    f[4, :3, 3:6] = f[4, 3:6, :3] = 2.0 * second - 0.5 * n * np.eye(3)
+    f[0] = 2.0 * f[1] + f[4] + 0.5 * (f[2] + f[3])
+    f[0, 6, 6] += 2.0 * n
+    return f
+
+
+def tura_witness(forms: np.ndarray, rows: np.ndarray) -> tuple:
+    """(W, (S_0, S_00, S_11, S_01)) of tura_forms at the directions rows = (n0, n1), or
+    one of each per (2, 3) block of a (k, 2, 3) stack."""
+    lead = rows.shape[:-2]
+    v = np.empty(lead + (7,))
+    v[..., :6] = rows.reshape(lead + (6,))
+    v[..., 6] = 1.0
+    w, *parts = _dot(v @ forms, v)
+    return w, tuple(parts)
 
 
 def tura_value(state: SymmetricState, n0: UnitVector, n1: UnitVector) -> ViolationReport:
@@ -400,7 +436,8 @@ def tura_value(state: SymmetricState, n0: UnitVector, n1: UnitVector) -> Violati
     n = state.n_atoms
     mean, second = spin_moments(state)
     u0, u1 = n0.as_array(), n1.as_array()
-    w, (s0, s00, s11, s01) = tura_witness(n, mean, second, np.array([u0, u1]))
+    w, parts = tura_witness(tura_forms(n, mean, second), np.array([u0, u1]))
+    w, (s0, s00, s11, s01) = float(w), map(float, parts)
     commutator = float(np.cross(u0, u1) @ mean)  # <[J.n0, J.n1]> / i
     return ViolationReport(
         functional="tura", value=w, bound=0.0, margin=w,

@@ -23,17 +23,23 @@ from typing import Callable
 import numpy as np
 
 from . import states
-from .errors import CapacityError, DegenerateConditionError, UnknownNameError, ValidationError
+from .errors import CapacityError, UnknownNameError, ValidationError
 from .functionals import (
     cfrd_margin, cfrd_quadrature_margin, cglmp_I, cglmp_functional, chsh_value, drummond_margin,
-    generalized_chsh_functional, mabk_value, mermin_check, mermin_coplanar_vectors, mermin_gap,
-    mermin_sides, reid_fraction, reid_ratio, tura_value, tura_witness, VIOLATION_TOL,
+    generalized_chsh_functional, mabk_value, mermin_check, mermin_coplanar_vectors, mermin_forms,
+    mermin_sides, reid_fraction, reid_ratio, tura_forms, tura_value, tura_witness, VIOLATION_TOL,
 )
 from .lhv import cglmp_scenario, enumerate_lhv_bound, symmetric_lhv_min, two_setting_spin_scenario
 from .spin import SpinQuantum, UnitVector, build_spin_rep
 from .states import BipartiteState, MultiQubitState, SymmetricState, spin_correlation_matrix
 
 GRID_CAP = 10 ** 5
+# cap on the cost of the states.sign_bin_series compile that a reid search starts with:
+# (d_A d_B)^2 for a pure state (its products make half as many multiply-adds), and
+# 10 (d_A d_B)^2 (d_A + d_B) for a mixed one (two rotations of rho, 2 (d_A d_B)^2 (d_A + d_B)
+# multiply-adds, at about a fifth of the pure rate).  maximally_entangled(446) costs 3.99e10
+# and compiled in 4.0 s on one thread
+REID_COMPILE_CAP = 4e10
 CGLMP_HVT_BOUND = 4.0  # reported next to the claimed LHVT bound, cglmp_functional(d).bound
 
 # ---------------------------------------------------------------------------
@@ -173,34 +179,44 @@ def build_state(family: str, params: dict):
 
 def _over_vectors(count: int, coplanar: bool, objective, report):
     """Search over `count` unit vectors: one angle each in the x-z plane
-    when coplanar, else a polar and an azimuthal angle each.  The
-    objective gets them as the rows of one (count, 3) array, rewritten
-    in place at each evaluation; `report` gets the same rows as UnitVectors."""
-    rows = np.zeros((count, 3))
-
+    when coplanar, else a polar and an azimuthal angle each.  A batch of
+    k angle rows reaches the objective as one (k, count, 3) array of
+    directions, and the objective returns k values; `report` gets one
+    row's directions as UnitVectors."""
     def directions(x):
-        polar, azimuth = (x, 0.0) if coplanar else (x[0::2], x[1::2])
+        rows = np.empty((len(x), count, 3))
+        if coplanar:
+            np.sin(x, out=rows[..., 0])
+            rows[..., 1] = 0.0
+            np.cos(x, out=rows[..., 2])
+            return rows
+        polar, azimuth = x[:, 0::2], x[:, 1::2]
         sin_polar = np.sin(polar)
-        np.multiply(sin_polar, np.cos(azimuth), out=rows[:, 0])
-        np.multiply(sin_polar, np.sin(azimuth), out=rows[:, 1])
-        np.cos(polar, out=rows[:, 2])
+        np.multiply(sin_polar, np.cos(azimuth), out=rows[..., 0])
+        np.multiply(sin_polar, np.sin(azimuth), out=rows[..., 1])
+        np.cos(polar, out=rows[..., 2])
         return rows
 
     ranges = [(0.0, 2 * math.pi)] if coplanar else [(0.0, math.pi), (0.0, 2 * math.pi)]
-    # + 0.0 turns the y = -0.0 of a coplanar direction with sin(polar) < 0 into 0.0
+    # + 0.0 turns a y = -0.0 (sin(polar) < 0 at an azimuth of 0) into 0.0
     return (ranges * count, lambda x: objective(directions(x)),
-            lambda x: report(*(UnitVector(*row) for row in (directions(x) + 0.0).tolist())))
+            lambda x: report(*(UnitVector(*row) for row in (directions(x[None])[0] + 0.0).tolist())))
 
 
 def _chsh_search(state: BipartiteState, coplanar: bool):
-    # S is bilinear in the directions: sum_ij coef[i, j] u_i^T T v_j = sum_i (u_i^T T).(coef V)_i
+    # S is bilinear in the directions: sum_ij coef[i, j] u_i^T T v_j = u^T (coef (x) T) v
+    # with u = (u_1, u_2) and v = (v_1, v_2) flattened, one row per trial
     functional = generalized_chsh_functional(state.s_a.two_s, state.s_b.two_s)
     coef = np.zeros((2, 2))
     for term in functional.terms:
         coef[term.setting_a, term.setting_b] += term.coef
-    t, bound = spin_correlation_matrix(state), functional.bound
-    return _over_vectors(4, coplanar, lambda d: abs(np.vdot(d[:2] @ t, coef @ d[2:])) - bound,
-                         lambda *vs: chsh_value(state, *vs))
+    form, bound = np.kron(coef, spin_correlation_matrix(state)), functional.bound
+
+    def objective(d):
+        uv = d.reshape(len(d), 12)
+        return np.abs(np.einsum("ki,ki->k", uv[:, :6] @ form, uv[:, 6:])) - bound
+
+    return _over_vectors(4, coplanar, objective, lambda *vs: chsh_value(state, *vs))
 
 
 def _mermin_search(state: BipartiteState, coplanar: bool):
@@ -208,40 +224,40 @@ def _mermin_search(state: BipartiteState, coplanar: bool):
     # holds; elsewhere below every -margin (|margin| <= 4s^3 + 2s^2), falling as the gap grows
     if state.s_a != state.s_b:
         raise ValidationError("mermin_check needs equal subsystem spins")
-    sval, second = state.s_a.s, states.spin_moments(state)[1]
+    sval = state.s_a.s
+    forms = mermin_forms(sval, states.spin_moments(state)[1])
     floor, tol = 4 * sval ** 3 + 2 * sval ** 2 + 1, VIOLATION_TOL * max(1.0, sval ** 2)
 
     def objective(d):
-        gap = mermin_gap(second, d[1])
-        if gap > tol:
-            return -floor - gap
-        lhs, rhs = mermin_sides(sval, second, *d)
-        return rhs - lhs
+        lhs, rhs, gap = mermin_sides(forms, d)
+        return np.where(gap > tol, -floor - gap, rhs - lhs)
 
     return _over_vectors(3, coplanar, objective, lambda *vs: mermin_check(state, *vs))
 
 
 def _tura_search(state: SymmetricState, coplanar: bool):
-    n, (mean, second) = state.n_atoms, states.spin_moments(state)
-    return _over_vectors(2, coplanar, lambda d: -tura_witness(n, mean, second, d)[0],
+    forms = tura_forms(state.n_atoms, *states.spin_moments(state))
+    return _over_vectors(2, coplanar, lambda d: -tura_witness(forms, d)[0],
                          lambda *vs: tura_value(state, *vs))
 
 
 def _reid_search(state: BipartiteState, coplanar: bool):
     # every P(+,+) and P(+|.) that reid_ratio reads is a trigonometric series in the angles:
-    # one compile, then per step two phase rows per side, the 2x2 table and two dot products;
-    # only a vanishing denominator scores -inf
+    # one compile, then per trial two phase rows per side, the 2x2 table and two dot
+    # products; reid_fraction scores a vanishing denominator -inf
+    d_a, d_b = state.dims
+    cost = (d_a * d_b) ** 2 * (1 if state.kind == "pure" else 10 * (d_a + d_b))
+    if cost > REID_COMPILE_CAP:
+        raise CapacityError(f"a reid search on dimensions {d_a} x {d_b} ({state.kind}) "
+                            f"exceeds the compile cap")
     joint, plus_a, plus_b = states.sign_bin_series(state)
     two_a, two_b = state.s_a.two_s, state.s_b.two_s
 
     def objective(x):
-        e_a, e_b = states.sign_bin_phases(two_a, x[:2]), states.sign_bin_phases(two_b, x[2:])
-        try:
-            ratio = reid_fraction(np.clip((e_a @ joint @ e_b.T).real, 0.0, 1.0),
-                                  (plus_a @ e_a[1]).real, (plus_b @ e_b[0]).real)[0]
-        except DegenerateConditionError:
-            return -math.inf
-        return ratio - 1.0
+        e_a, e_b = states.sign_bin_phases(two_a, x[:, :2]), states.sign_bin_phases(two_b, x[:, 2:])
+        table = (e_a.reshape(-1, len(joint)) @ joint).reshape(len(x), 2, -1) @ e_b.swapaxes(1, 2)
+        return reid_fraction(np.clip(table.real, 0.0, 1.0), (e_a[:, 1] @ plus_a).real,
+                             (e_b[:, 0] @ plus_b).real)[0] - 1.0
 
     return [(0.0, math.pi)] * 4, objective, lambda x: reid_ratio(state, *x)
 

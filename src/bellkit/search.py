@@ -5,6 +5,10 @@ for the moment-inequality case, over diagonal state weights).  The
 objective is always oriented so that positive values mean violation;
 binned-probability objectives are only piecewise smooth, which is why
 no gradients are used.
+
+Every objective maps a (k, n) array of points to k values.  A sweep is
+scored in one call with the trials and counts of one point per call:
+about one call per seven evaluations on the CHSH benchmark workload.
 """
 
 from __future__ import annotations
@@ -49,25 +53,39 @@ class SearchConfig:
 def pattern_search_max(objective, x0: np.ndarray, step: float,
                        tolerance: float, max_evals: int):
     """Coordinate-wise pattern search (step halving) maximizing
-    `objective`; returns (best x, best value, evaluation count)."""
+    `objective`; returns (best x, best value, evaluation count).
+
+    A sweep tries x + step e_i and then x - step e_i for i = 0, 1, ...,
+    moves to each trial that beats the current value as soon as it is
+    tried, and halves the step after a sweep without a move.
+    `objective` maps a (k, n) array of points to their k values.  Every
+    trial still left in a sweep is scored in one call, at most as many
+    as evaluations are left; the search walks the values in order,
+    accepts the first that beats the current value and scores the rest
+    of the sweep from the new point.  So the trials, the moves and the
+    count, which counts the trials walked and not the rows scored, are
+    those of trying the points one at a time."""
     x = np.array(x0, dtype=float)
-    fx = objective(x)
+    fx = objective(x[None])[0]
     evals = 1
+    n_moves = 2 * len(x)
+    # rows +e_0, -e_0, +e_1, ...; -0.0 elsewhere, since x + -0.0 is x to the bit
+    unit = np.full((n_moves, len(x)), -0.0)
+    unit[np.arange(n_moves), np.repeat(np.arange(len(x)), 2)] = np.tile([1.0, -1.0], len(x))
     while step > tolerance and evals < max_evals:
+        moves = unit * step
         improved = False
-        for i in range(len(x)):
-            for sgn in (1.0, -1.0):
-                trial = x.copy()
-                trial[i] += sgn * step
-                ft = objective(trial)
-                evals += 1
-                if ft > fx:
-                    x, fx = trial, ft
-                    improved = True
-                if evals >= max_evals:
-                    break
-            if evals >= max_evals:
-                break
+        j = 0
+        while j < n_moves and evals < max_evals:
+            k = min(n_moves - j, max_evals - evals)
+            values = objective(x + moves[j:j + k])
+            better = values > fx
+            first = int(better.argmax())
+            if better[first]:  # the walk stops at the first better trial
+                k = first + 1
+                x, fx, improved = x + moves[j + first], values[first], True
+            evals += k
+            j += k
         if not improved:
             step /= 2.0
     return x, fx, evals
@@ -110,6 +128,44 @@ def optimize_settings(state, functional: str, config: SearchConfig) -> Violation
     return maximize(entry.optimize(state, config.coplanar), config)
 
 
+def cfrd_weight_problem(s: SpinQuantum):
+    """The search problem (ranges, objective, report at the optimum) of
+    optimize_weights_cfrd.  On the pair state sum_m r_m |s,m>|s,-m> with
+    real r, each moment <A (x) B> that cfrd_margin reads is the quadratic
+    form r^T Re(A o B') r / r^T r, B' being B with rows and columns
+    reversed (index m -> -m) and o the entrywise product; the forms are
+    built once and the objective scores a batch of rows at a time."""
+    if s.two_s > 20:
+        raise CapacityError("weight search supports s <= 10")
+    rep = build_spin_rep(s)
+    d = s.dim
+
+    def form(mat_a, mat_b):
+        return (mat_a * mat_b[::-1, ::-1]).real
+
+    sx, sy = rep.sx, rep.sy
+    # lhs and re_part; im_part = <S_y S_x - S_x S_y> has the form 0, as S_y is imaginary
+    # and S_x real in this basis
+    forms = np.array([form(sx @ sx + sy @ sy, sx @ sx + sy @ sy), form(sx, sx) + form(sy, sy)])
+
+    def objective(x):
+        norm2 = np.sum(x * x, axis=1)
+        small = norm2 < 1e-18  # |r| < 1e-9: no state
+        lhs, re_part = np.sum(x @ forms * x, axis=-1) / np.where(small, 1.0, norm2)
+        return np.where(small, -math.inf, re_part ** 2 - lhs)
+
+    def report(x):
+        r = x / np.linalg.norm(x)
+        psi = np.zeros((d, d), dtype=complex)
+        psi[np.arange(d), np.arange(d - 1, -1, -1)] = r
+        best = cfrd_margin(BipartiteState("pure", s, s, psi=psi / np.linalg.norm(psi)),
+                           rep.sx, rep.sy, rep.sx, rep.sy)
+        best.settings = [float(v) for v in r]
+        return best
+
+    return [(-1.0, 1.0)] * d, objective, report
+
+
 def optimize_weights_cfrd(s: SpinQuantum, config: SearchConfig) -> ViolationReport:
     """Search unit-norm weights r_m for the pair state
     sum_m r_m |s,m>|s,-m> minimizing the moment-inequality margin with
@@ -119,25 +175,7 @@ def optimize_weights_cfrd(s: SpinQuantum, config: SearchConfig) -> ViolationRepo
     equal-m pairing the cross moment <S+ S-> is identically zero and
     the weights drop out of the margin altogether.
     """
-    if s.two_s > 20:
-        raise CapacityError("weight search supports s <= 10")
-    rep = build_spin_rep(s)
-    d = s.dim
-
-    def margin_of(r):
-        psi = np.zeros((d, d), dtype=complex)
-        psi[np.arange(d), np.arange(d - 1, -1, -1)] = r
-        state = BipartiteState("pure", s, s, psi=psi / np.linalg.norm(psi))
-        return cfrd_margin(state, rep.sx, rep.sy, rep.sx, rep.sy)
-
-    def report(x):
-        r = x / np.linalg.norm(x)
-        best = margin_of(r)
-        best.settings = [float(v) for v in r]
-        return best
-
-    return maximize(([(-1.0, 1.0)] * d, lambda x: (
-        -math.inf if np.linalg.norm(x) < 1e-9 else -margin_of(x).margin), report), config)
+    return maximize(cfrd_weight_problem(s), config)
 
 
 @dataclass(frozen=True)

@@ -483,9 +483,9 @@ def sign_bin_series(state: BipartiteState) -> tuple:
 
 
 def sign_bin_phases(two_s: int, angles) -> np.ndarray:
-    """Rows e^{2iap}, p = -2s ... 2s, one per angle a: the phases of
-    sign_bin_series' coefficients."""
-    return np.exp(2j * np.outer(angles, np.arange(-two_s, two_s + 1)))
+    """Rows e^{2iap}, p = -2s ... 2s, one per angle a of an array of
+    any shape: the phases of sign_bin_series' coefficients."""
+    return np.exp(2j * np.multiply.outer(angles, np.arange(-two_s, two_s + 1)))
 
 
 def _plus_bin_frame(s: SpinQuantum) -> tuple:

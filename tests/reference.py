@@ -77,3 +77,29 @@ def dense_reid_ratio_maximally_entangled(n, angles, zero_policy="plus"):
     num = p_pp(theta, phi) - p_pp(theta, phi_star) + p_pp(theta_star, phi) \
         + p_pp(theta_star, phi_star)
     return num / ((np.trace(plus[theta_star]).real + np.trace(plus[phi]).real) / (n + 1))
+
+
+def pattern_search_max_one_at_a_time(f, x0, step, tolerance, max_evals):
+    """bellkit.search.pattern_search_max as it was before sweeps were
+    scored in batches: one call of the point objective f per trial."""
+    x = np.array(x0, dtype=float)
+    fx = f(x)
+    evals = 1
+    while step > tolerance and evals < max_evals:
+        improved = False
+        for i in range(len(x)):
+            for sgn in (1.0, -1.0):
+                trial = x.copy()
+                trial[i] += sgn * step
+                ft = f(trial)
+                evals += 1
+                if ft > fx:
+                    x, fx = trial, ft
+                    improved = True
+                if evals >= max_evals:
+                    break
+            if evals >= max_evals:
+                break
+        if not improved:
+            step /= 2.0
+    return x, fx, evals

@@ -292,6 +292,10 @@ PROBES = [
         "d": 10 ** 12, "tables": [[[1.0]]] * 4}}}),
     (EXIT_BAD_SPEC, "evaluate", {"functional": {"name": "mabk", "params": {"n": 1}}}),
     (EXIT_CAPACITY, "evaluate", {"functional": {"name": "mabk", "params": {"n": 16}}}),
+    # a reid search is refused before its O((d_A d_B)^2) compile: maximally_entangled(446)
+    # is the largest admitted
+    (EXIT_CAPACITY, "optimize", {"state": _state("maximally_entangled", n=447),
+                                 "functional": {"name": "reid"}, "search": SEARCH}),
 ]
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bellkit.errors import CapacityError, DegenerateConditionError, ValidationError
-from bellkit.functionals import reid_ratio
+from bellkit.functionals import cfrd_margin, reid_ratio
 from bellkit.registry import FAMILIES, FUNCTIONALS, build_state
 from bellkit.spin import SpinQuantum, build_spin_rep
 from bellkit.states import (
@@ -14,6 +14,7 @@ from bellkit.states import (
 from bellkit.search import (
     ScanSpec,
     SearchConfig,
+    cfrd_weight_problem,
     mermin_coplanar_vectors,
     multi_start_max,
     optimize_settings,
@@ -21,7 +22,7 @@ from bellkit.search import (
     pattern_search_max,
     scan_parameter,
 )
-from reference import dense_reid_ratio_maximally_entangled
+from reference import dense_reid_ratio_maximally_entangled, pattern_search_max_one_at_a_time
 
 
 def test_search_config_validation():
@@ -37,7 +38,7 @@ def test_search_config_validation():
 
 
 def test_pattern_search_quadratic():
-    f = lambda x: -float((x[0] - 1.3) ** 2 + (x[1] + 0.4) ** 2)
+    f = lambda x: -((x[:, 0] - 1.3) ** 2 + (x[:, 1] + 0.4) ** 2)
     x, fx, evals = pattern_search_max(f, np.zeros(2), 0.5, 1e-10, 5000)
     assert abs(x[0] - 1.3) < 1e-8 and abs(x[1] + 0.4) < 1e-8
     assert fx > -1e-15
@@ -45,11 +46,48 @@ def test_pattern_search_quadratic():
 
 
 def test_multi_start_deterministic():
-    f = lambda x: -float(np.sum((x - 2.0) ** 2)) + math.sin(5 * x[0])
+    f = lambda x: -np.sum((x - 2.0) ** 2, axis=1) + np.sin(5 * x[:, 0])
     cfg = SearchConfig(seed=42, restarts=6)
     r1 = multi_start_max(f, [(-3, 3), (-3, 3)], cfg)
     r2 = multi_start_max(f, [(-3, 3), (-3, 3)], cfg)
     assert np.allclose(r1[0], r2[0]) and r1[1] == r2[1]
+
+
+# point objectives: a quadratic, a trigonometric sum, and one that is -inf on half the space
+_POINT_OBJECTIVES = [
+    lambda x: -float(np.sum((x - np.linspace(-1.0, 1.3, len(x))) ** 2)),
+    lambda x: float(np.sum(np.sin(3.0 * x) * np.cos(x[::-1] + 0.4))),
+    lambda x: -math.inf if x[0] > 0.2 else math.cos(float(np.sum(x))),
+]
+
+
+def test_batched_search_equals_one_at_a_time_reference():
+    # on a row-wise objective the batched sweep walks the trials of the
+    # one-at-a-time search: same x, value and count, bit for bit
+    rng = np.random.default_rng(31)
+    for f in _POINT_OBJECTIVES:
+        for n in (1, 8):
+            for max_evals in (1, 2, 17, 40, 5000):
+                x0 = rng.uniform(-2.0, 2.0, n)
+                x0[-1] = -0.0  # a signed zero that only a move may change
+                batches = []
+
+                def batched(points):
+                    batches.append(len(points))
+                    return np.array([f(p) for p in points])
+
+                want = pattern_search_max_one_at_a_time(f, x0, 0.5, 1e-8, max_evals)
+                got = pattern_search_max(batched, x0, 0.5, 1e-8, max_evals)
+                assert got[0].tobytes() == want[0].tobytes(), (n, max_evals, got[0], want[0])
+                assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+                assert got[2] == want[2] <= max_evals
+                assert batches[0] == 1 and max(batches) <= min(2 * n, max(max_evals - 1, 1))
+    # a start scored -inf, and an objective that is -inf everywhere
+    for f in (_POINT_OBJECTIVES[2], lambda x: -math.inf):
+        x0 = np.full(3, 0.5)
+        want = pattern_search_max_one_at_a_time(f, x0, 0.5, 1e-8, 300)
+        got = pattern_search_max(lambda p: np.array([f(r) for r in p]), x0, 0.5, 1e-8, 300)
+        assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1] and got[2] == want[2]
 
 
 def test_chsh_singlet_to_tsirelson():
@@ -118,11 +156,16 @@ def test_compiled_objective_equals_evaluator():
         for st in states:
             for coplanar in (False, True):
                 ranges, objective, report = FUNCTIONALS[name].optimize(st, coplanar)
-                for _ in range(50):
-                    # angles beyond the start ranges too, where the search may walk
-                    x = np.array([rng.uniform(lo - 1.0, hi + 1.0) for lo, hi in ranges])
-                    got, want = objective(x), _FROM_REPORT[name](report(x), st)
-                    assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (name, st, x)
+                # angles beyond the start ranges too, where the search may walk;
+                # 50 single rows, then the same 50 as one batch
+                xs = np.array([[rng.uniform(lo - 1.0, hi + 1.0) for lo, hi in ranges]
+                               for _ in range(50)])
+                batch = objective(xs)
+                assert batch.shape == (50,)
+                for x, got_in_batch in zip(xs, batch):
+                    want = _FROM_REPORT[name](report(x), st)
+                    for got in (objective(x[None])[0], got_in_batch):
+                        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (name, st, x)
 
 
 def _dense_correlation_matrix(st):
@@ -205,6 +248,24 @@ def test_cfrd_weight_search():
     assert r_threehalf.margin > 0.9
 
 
+def test_cfrd_batched_objective_equals_cfrd_margin():
+    # -margin of cfrd_margin on the pair state sum_m r_m |s,m>|s,-m>, built point by point
+    rng = np.random.default_rng(9)
+    for two_s in range(1, 7):
+        s = SpinQuantum(two_s)
+        rep, d = build_spin_rep(s), s.dim
+        ranges, objective, _ = cfrd_weight_problem(s)
+        assert ranges == [(-1.0, 1.0)] * d
+        xs = rng.uniform(-1.0, 1.0, (50, d))
+        for x, got in zip(xs, objective(xs)):
+            psi = np.zeros((d, d), dtype=complex)
+            psi[np.arange(d), np.arange(d - 1, -1, -1)] = x / np.linalg.norm(x)
+            want = -cfrd_margin(BipartiteState("pure", s, s, psi=psi),
+                                rep.sx, rep.sy, rep.sx, rep.sy).margin
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (two_s, x, got, want)
+        assert objective(np.zeros((1, d)))[0] == -math.inf
+
+
 def test_scan_mermin_rows():
     grid = tuple(np.linspace(0.3, 0.7, 9))
     spec = ScanSpec(parameter="sin_theta_geometry", grid=grid, functional="mermin",
@@ -277,19 +338,27 @@ def test_reid_compiled_objective_equals_reid_ratio():
         for params in cases:
             st = build_state(name, params)
             ranges, objective, _ = FUNCTIONALS["reid"].optimize(st, False)
-            for _ in range(10):
-                x = np.array([rng.uniform(lo - 1.0, hi + 1.0) for lo, hi in ranges])
+            xs = np.array([[rng.uniform(lo - 1.0, hi + 1.0) for lo, hi in ranges]
+                           for _ in range(50)])
+            batch = objective(xs)
+            assert batch.shape == (50,)
+            for x, got_in_batch in zip(xs, batch):
                 try:
                     want = reid_ratio(st, *x).margin
                 except DegenerateConditionError:
                     want = -math.inf
-                got = objective(x)
-                assert got == want or abs(got - want) <= 1e-12, (name, params, x, got, want)
+                for got in (objective(x[None])[0], got_in_batch):
+                    assert got == want or abs(got - want) <= 1e-12, (name, params, x, got, want)
     # |down, down>: both + bins are empty at all-zero angles
     down_down = rm_weighted(SpinQuantum(1), [0.0, 1.0])
     with pytest.raises(DegenerateConditionError):
         reid_ratio(down_down, 0.0, 0.0, 0.0, 0.0)
-    assert FUNCTIONALS["reid"].optimize(down_down, False)[1](np.zeros(4)) == -math.inf
+    objective = FUNCTIONALS["reid"].optimize(down_down, False)[1]
+    assert objective(np.zeros((1, 4)))[0] == -math.inf
+    # a degenerate row scores -inf without touching the rows beside it
+    mixed_batch = objective(np.array([[0.0, 0.0, 0.0, 0.0], [0.3, 1.1, 0.7, 2.0]]))
+    assert mixed_batch[0] == -math.inf
+    assert abs(mixed_batch[1] - reid_ratio(down_down, 0.3, 1.1, 0.7, 2.0).margin) <= 1e-12
 
 
 def test_reid_search_calls_reid_ratio_once_at_the_optimum(monkeypatch):
@@ -314,6 +383,24 @@ def test_reid_search_macroscopic_spin():
                             SearchConfig(seed=11, restarts=2, max_evals_per_restart=500))
     assert rep.value > 1.0 + 1e-6
     assert abs(rep.value - dense_reid_ratio_maximally_entangled(200, rep.settings)) <= 1e-12
+
+
+def test_reid_search_refused_above_the_compile_cap(monkeypatch):
+    # refused before states.sign_bin_series runs, for a pure state above
+    # maximally_entangled(446) and for a mixed state whose rotations would cost as much
+    import bellkit.registry
+
+    def no_compile(state):
+        raise AssertionError("compiled a state above the cap")
+
+    monkeypatch.setattr(bellkit.registry.states, "sign_bin_series", no_compile)
+    with pytest.raises(CapacityError, match="compile cap"):
+        optimize_settings(maximally_entangled(447), "reid", SearchConfig(seed=1, restarts=1))
+    # werner(3) is mixed with d_A d_B = 16 and d_A + d_B = 8: cost 10 * 16^2 * 8, where a
+    # pure state of the same dimensions would cost 16^2
+    monkeypatch.setattr(bellkit.registry, "REID_COMPILE_CAP", 10 * 16 ** 2 * 8 - 1)
+    with pytest.raises(CapacityError, match="compile cap"):
+        optimize_settings(werner(3, 0.2), "reid", SearchConfig(seed=1, restarts=1))
 
 
 def test_optimize_settings_refuses_a_state_of_the_wrong_class():
