@@ -23,9 +23,7 @@ from .registry import (
     ANY, BOOL, FLOAT, GRID, INT, OBJECT, STR, Opt, build_state, family, lookup, record,
     require_state, state_args,
 )
-from .search import (
-    ScanSpec, SearchConfig, optimize_settings, optimize_weights_cfrd, scan_parameter,
-)
+from .search import ScanSpec, SearchConfig, maximize, optimize_settings, scan_parameter
 from .spin import UnitVector
 
 EXIT_OK = 0
@@ -101,8 +99,8 @@ def _check(command: str, spec: dict, seed: int | None = None):
     if config is None:
         raise ValidationError("optimize specs must carry an explicit seed")
     if entry.state is None:
-        spin = entry.optimize(params)
-        return lambda: optimize_weights_cfrd(spin, config).to_dict()
+        problem = entry.optimize(*params.values())
+        return lambda: maximize(problem, config).to_dict()
     return lambda: optimize_settings(build(), name, config).to_dict()
 
 

@@ -1,9 +1,13 @@
-"""Bell functionals: quantum-side evaluation and declarative descriptions.
+"""Bell functionals: quantum-side evaluation, settings searches and
+declarative descriptions.
 
 Each evaluator returns a ViolationReport whose `violation` flag is
 oriented consistently (True means the classical inequality is broken);
 the signed `margin` follows each functional's own convention, noted in
-the docstrings.
+the docstrings.  Beside each searched evaluator sits its search
+problem (ranges, objective to maximize, report at the optimum): the
+state compiled once into the numbers the evaluator reads, and an
+objective that scores a (k, n) batch of points as k values.
 """
 
 from __future__ import annotations
@@ -13,8 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateConditionError, ValidationError
-from .spin import UnitVector, build_spin_rep, outcome_indices, sign_projectors, spin_component
+from .errors import CapacityError, DegenerateConditionError, ValidationError
+from .spin import (
+    SpinQuantum, UnitVector, build_spin_rep, outcome_indices, sign_projectors, spin_component,
+)
 from .states import (
     BipartiteState,
     MeasurementSetting,
@@ -25,10 +31,19 @@ from .states import (
     expect_product,
     expect_side,
     joint_distribution,
+    sign_bin_phases,
+    sign_bin_series,
+    spin_correlation_matrix,
     spin_moments,
 )
 
 VIOLATION_TOL = 1e-9
+# cap on the cost of the sign_bin_series compile that a reid search starts with:
+# (d_A d_B)^2 for a pure state (its products make half as many multiply-adds), and
+# 10 (d_A d_B)^2 (d_A + d_B) for a mixed one (two rotations of rho, 2 (d_A d_B)^2 (d_A + d_B)
+# multiply-adds, at about a fifth of the pure rate).  maximally_entangled(446) costs 3.99e10
+# and compiled in 4.0 s on one thread
+REID_COMPILE_CAP = 4e10
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +187,40 @@ def _vec(u: UnitVector) -> list:
     return [u.ux, u.uy, u.uz]
 
 
-def _dot(a, b):
-    """a . b over the last axis: one number per row of a stack."""
-    return np.einsum("...i,...i->...", a, b)
+def _form_values(forms: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """v^T F v for each form F at v = (rows flattened, 1): one value per form, or one per
+    form and block of a (k, ...) stack of direction rows."""
+    lead = rows.shape[:-2]
+    v = np.empty(lead + (forms.shape[-1],))
+    v[..., :-1] = rows.reshape(lead + (-1,))
+    v[..., -1] = 1.0
+    return np.einsum("...i,...i->...", v @ forms, v)
+
+
+def _over_vectors(count: int, coplanar: bool, objective, report):
+    """Search over `count` unit vectors: one angle each in the x-z plane
+    when coplanar, else a polar and an azimuthal angle each.  A batch of
+    k angle rows reaches the objective as one (k, count, 3) array of
+    directions, and the objective returns k values; `report` gets one
+    row's directions as UnitVectors."""
+    def directions(x):
+        rows = np.empty((len(x), count, 3))
+        if coplanar:
+            np.sin(x, out=rows[..., 0])
+            rows[..., 1] = 0.0
+            np.cos(x, out=rows[..., 2])
+            return rows
+        polar, azimuth = x[:, 0::2], x[:, 1::2]
+        sin_polar = np.sin(polar)
+        np.multiply(sin_polar, np.cos(azimuth), out=rows[..., 0])
+        np.multiply(sin_polar, np.sin(azimuth), out=rows[..., 1])
+        np.cos(polar, out=rows[..., 2])
+        return rows
+
+    ranges = [(0.0, 2 * math.pi)] if coplanar else [(0.0, math.pi), (0.0, 2 * math.pi)]
+    # + 0.0 turns a y = -0.0 (sin(polar) < 0 at an azimuth of 0) into 0.0
+    return (ranges * count, lambda x: objective(directions(x)),
+            lambda x: report(*(UnitVector(*row) for row in (directions(x[None])[0] + 0.0).tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +245,23 @@ def chsh_value(state: BipartiteState, u1: UnitVector, u2: UnitVector,
         violation=margin > VIOLATION_TOL,
         settings=[_vec(u1), _vec(u2), _vec(v1), _vec(v2)],
         state_meta=dict(state.meta))
+
+
+def chsh_problem(state: BipartiteState, coplanar: bool):
+    """Search problem of chsh_value over (u1, u2, v1, v2).  S is bilinear in the
+    directions: sum_ij coef[i, j] u_i^T T v_j = u^T (coef (x) T) v with u = (u_1, u_2)
+    and v = (v_1, v_2) flattened, one row per trial."""
+    functional = generalized_chsh_functional(state.s_a.two_s, state.s_b.two_s)
+    coef = np.zeros((2, 2))
+    for term in functional.terms:
+        coef[term.setting_a, term.setting_b] += term.coef
+    form, bound = np.kron(coef, spin_correlation_matrix(state)), functional.bound
+
+    def objective(d):
+        uv = d.reshape(len(d), 12)
+        return np.abs(np.einsum("ki,ki->k", uv[:, :6] @ form, uv[:, 6:])) - bound
+
+    return _over_vectors(4, coplanar, objective, lambda *vs: chsh_value(state, *vs))
 
 
 def mermin_check(state: BipartiteState, a: UnitVector, b: UnitVector, c: UnitVector,
@@ -227,13 +290,9 @@ def mermin_check(state: BipartiteState, a: UnitVector, b: UnitVector, c: UnitVec
 
     margin = LHS - RHS; margin < 0 means violation.
     """
-    if state.s_a != state.s_b:
-        raise ValidationError("mermin_check needs equal subsystem spins")
-    sval = state.s_a.s
-    mean, second = spin_moments(state)
+    sval, tol, mean, forms = _mermin_forms(state)
     va, vb = a.as_array(), b.as_array()
-    lhs, rhs, premise_gap = map(float, mermin_sides(mermin_forms(sval, second),
-                                                    np.array([va, vb, c.as_array()])))
+    lhs, rhs, premise_gap = map(float, _form_values(forms, np.array([va, vb, c.as_array()])))
     if reading == "absolute_of_difference":
         rep = build_spin_rep(state.s_a)
         alphas, betas, table = joint_distribution(
@@ -247,31 +306,43 @@ def mermin_check(state: BipartiteState, a: UnitVector, b: UnitVector, c: UnitVec
     margin = lhs - rhs
     return ViolationReport(
         functional="mermin", value=lhs, bound=rhs, margin=margin,
-        violation=margin < -VIOLATION_TOL and premise_gap <= VIOLATION_TOL * max(1.0, sval ** 2),
+        violation=margin < -VIOLATION_TOL and premise_gap <= tol,
         settings=[_vec(a), _vec(b), _vec(c)],
         state_meta=dict(state.meta),
         extra={"reading": reading, "lhs": lhs, "rhs": rhs, "premise_gap": premise_gap})
 
 
-def mermin_forms(sval: float, second: np.ndarray) -> np.ndarray:
-    """Symmetric 9 x 9 forms F[0..2] with (lhs, rhs, premise gap) = v^T F v at v = (a, b, c),
-    from the bipartite spin moments second: the squared_difference reading's lhs = s <Delta^2>
-    with Delta = a.S^A - b.S^B, rhs = <S_Aa S_Bc> + <S_Ab S_Bc>, and <(b.S^A + b.S^B)^2>."""
+def _mermin_forms(state: BipartiteState) -> tuple:
+    """(s, premise tolerance VIOLATION_TOL max(1, s^2), spin means, F) of a pair of equal
+    spins, with symmetric 10 x 10 forms F[0..2] such that (lhs, rhs, premise gap) = v^T F v
+    at v = (a, b, c, 1): the squared_difference reading's lhs = s <Delta^2> with
+    Delta = a.S^A - b.S^B, rhs = <S_Aa S_Bc> + <S_Ab S_Bc>, and <(b.S^A + b.S^B)^2>."""
+    if state.s_a != state.s_b:
+        raise ValidationError("mermin_check needs equal subsystem spins")
+    sval = state.s_a.s
+    mean, second = spin_moments(state)
     aa, ab, bb = second[:3, :3], second[:3, 3:], second[3:, 3:]
-    f = np.zeros((3, 9, 9))
+    f = np.zeros((3, 10, 10))
     f[0, :3, :3], f[0, 3:6, 3:6] = sval * aa, sval * bb
     f[0, :3, 3:6], f[0, 3:6, :3] = -sval * ab, -sval * ab.T
-    f[1, :3, 6:] = f[1, 3:6, 6:] = 0.5 * ab
-    f[1, 6:, :3] = f[1, 6:, 3:6] = 0.5 * ab.T
+    f[1, :3, 6:9] = f[1, 3:6, 6:9] = 0.5 * ab
+    f[1, 6:9, :3] = f[1, 6:9, 3:6] = 0.5 * ab.T
     f[2, 3:6, 3:6] = aa + ab + ab.T + bb
-    return f
+    return sval, VIOLATION_TOL * max(1.0, sval ** 2), mean, f
 
 
-def mermin_sides(forms: np.ndarray, rows: np.ndarray) -> tuple:
-    """(lhs, rhs, premise gap) of mermin_forms at the directions rows = (a, b, c), or one of
-    each per (3, 3) block of a (k, 3, 3) stack."""
-    v = rows.reshape(*rows.shape[:-2], 9)
-    return tuple(_dot(v @ forms, v))
+def mermin_problem(state: BipartiteState, coplanar: bool):
+    """Search problem of mermin_check over (a, b, c): -margin of the squared_difference
+    reading (violation when LHS < RHS) where the premise holds; elsewhere below every
+    -margin (|margin| <= 4s^3 + 2s^2), falling as the gap grows."""
+    sval, tol, _, forms = _mermin_forms(state)
+    floor = 4 * sval ** 3 + 2 * sval ** 2 + 1
+
+    def objective(d):
+        lhs, rhs, gap = _form_values(forms, d)
+        return np.where(gap > tol, -floor - gap, rhs - lhs)
+
+    return _over_vectors(3, coplanar, objective, lambda *vs: mermin_check(state, *vs))
 
 
 def mermin_coplanar_vectors(theta: float):
@@ -367,6 +438,29 @@ def reid_fraction(joint, plus_theta_star, plus_phi) -> tuple:
     return np.where(degenerate, -math.inf, num / np.where(degenerate, 1.0, den)), num, den
 
 
+def reid_problem(state: BipartiteState, coplanar: bool):
+    """Search problem of reid_ratio over (theta, theta*, phi, phi*); `coplanar` is moot, as
+    every direction lies in the x-z plane.  Every P(+,+) and P(+|.) that reid_ratio reads is
+    a trigonometric series in the angles: one compile, then per trial two phase rows per
+    side, the 2x2 table and two dot products; reid_fraction scores a vanishing denominator
+    -inf."""
+    d_a, d_b = state.dims
+    cost = (d_a * d_b) ** 2 * (1 if state.kind == "pure" else 10 * (d_a + d_b))
+    if cost > REID_COMPILE_CAP:
+        raise CapacityError(f"a reid search on dimensions {d_a} x {d_b} ({state.kind}) "
+                            f"exceeds the compile cap")
+    joint, plus_a, plus_b = sign_bin_series(state)
+    two_a, two_b = state.s_a.two_s, state.s_b.two_s
+
+    def objective(x):
+        e_a, e_b = sign_bin_phases(two_a, x[:, :2]), sign_bin_phases(two_b, x[:, 2:])
+        table = (e_a.reshape(-1, len(joint)) @ joint).reshape(len(x), 2, -1) @ e_b.swapaxes(1, 2)
+        return reid_fraction(np.clip(table.real, 0.0, 1.0), (e_a[:, 1] @ plus_a).real,
+                             (e_b[:, 0] @ plus_b).real)[0] - 1.0
+
+    return [(0.0, math.pi)] * 4, objective, lambda x: reid_ratio(state, *x)
+
+
 def cfrd_margin(state: BipartiteState, obs_a1, obs_a2, obs_b1, obs_b2) -> ViolationReport:
     """Moment inequality
 
@@ -387,6 +481,43 @@ def cfrd_margin(state: BipartiteState, obs_a1, obs_a2, obs_b1, obs_b2) -> Violat
                            extra={"lhs": lhs, "rhs": rhs})
 
 
+def cfrd_weight_problem(s: SpinQuantum):
+    """Search problem of cfrd_margin over the real weights r of the pair state
+    sum_m r_m |s,m>|s,-m>, maximizing -margin with (S_x, S_y) on each side.  Each moment
+    <A (x) B> that cfrd_margin reads is the quadratic form r^T Re(A o B') r / r^T r, B' being
+    B with rows and columns reversed (index m -> -m) and o the entrywise product; the forms
+    are built once and the objective scores a batch of rows at a time."""
+    if s.two_s > 20:
+        raise CapacityError("weight search supports s <= 10")
+    rep = build_spin_rep(s)
+    d = s.dim
+
+    def form(mat_a, mat_b):
+        return (mat_a * mat_b[::-1, ::-1]).real
+
+    sx, sy = rep.sx, rep.sy
+    # lhs and re_part; im_part = <S_y S_x - S_x S_y> has the form 0, as S_y is imaginary
+    # and S_x real in this basis
+    forms = np.array([form(sx @ sx + sy @ sy, sx @ sx + sy @ sy), form(sx, sx) + form(sy, sy)])
+
+    def objective(x):
+        norm2 = np.sum(x * x, axis=1)
+        small = norm2 < 1e-18  # |r| < 1e-9: no state
+        lhs, re_part = np.sum(x @ forms * x, axis=-1) / np.where(small, 1.0, norm2)
+        return np.where(small, -math.inf, re_part ** 2 - lhs)
+
+    def report(x):
+        r = x / np.linalg.norm(x)
+        psi = np.zeros((d, d), dtype=complex)
+        psi[np.arange(d), np.arange(d - 1, -1, -1)] = r
+        best = cfrd_margin(BipartiteState("pure", s, s, psi=psi / np.linalg.norm(psi)),
+                           rep.sx, rep.sy, rep.sx, rep.sy)
+        best.settings = [float(v) for v in r]
+        return best
+
+    return [(-1.0, 1.0)] * d, objective, report
+
+
 def cfrd_quadrature_margin(state: BipartiteState) -> float:
     """<Delta S_x^2> + <Delta S_y^2> + 1/4 for the total spin
     S = S^A + S^B; a violation of the quadrature-variable inequality
@@ -396,7 +527,7 @@ def cfrd_quadrature_margin(state: BipartiteState) -> float:
     return float(0.25 + np.trace(xy @ second @ xy.T) - np.sum((xy @ mean) ** 2))
 
 
-def tura_forms(n: int, mean: np.ndarray, second: np.ndarray) -> np.ndarray:
+def _tura_forms(n: int, mean: np.ndarray, second: np.ndarray) -> np.ndarray:
     """Symmetric 7 x 7 forms F[0..4] with (W, S_0, S_00, S_11, S_01) = v^T F v at
     v = (n0, n1, 1), from the collective spin moments <J> = mean and <J_i J_j> = second:
     S_0 = 2 n0.<J>, S_kk = 4 <(J.n_k)^2> - N, S_01 = 4 n0^T second n1 - N n0.n1 and
@@ -414,17 +545,6 @@ def tura_forms(n: int, mean: np.ndarray, second: np.ndarray) -> np.ndarray:
     return f
 
 
-def tura_witness(forms: np.ndarray, rows: np.ndarray) -> tuple:
-    """(W, (S_0, S_00, S_11, S_01)) of tura_forms at the directions rows = (n0, n1), or
-    one of each per (2, 3) block of a (k, 2, 3) stack."""
-    lead = rows.shape[:-2]
-    v = np.empty(lead + (7,))
-    v[..., :6] = rows.reshape(lead + (6,))
-    v[..., 6] = 1.0
-    w, *parts = _dot(v @ forms, v)
-    return w, tuple(parts)
-
-
 def tura_value(state: SymmetricState, n0: UnitVector, n1: UnitVector) -> ViolationReport:
     """Permutation-symmetric two-setting inequality
 
@@ -436,8 +556,8 @@ def tura_value(state: SymmetricState, n0: UnitVector, n1: UnitVector) -> Violati
     n = state.n_atoms
     mean, second = spin_moments(state)
     u0, u1 = n0.as_array(), n1.as_array()
-    w, parts = tura_witness(tura_forms(n, mean, second), np.array([u0, u1]))
-    w, (s0, s00, s11, s01) = float(w), map(float, parts)
+    w, s0, s00, s11, s01 = map(float, _form_values(_tura_forms(n, mean, second),
+                                                   np.array([u0, u1])))
     commutator = float(np.cross(u0, u1) @ mean)  # <[J.n0, J.n1]> / i
     return ViolationReport(
         functional="tura", value=w, bound=0.0, margin=w,
@@ -446,6 +566,13 @@ def tura_value(state: SymmetricState, n0: UnitVector, n1: UnitVector) -> Violati
         state_meta={"family": "symmetric", "n_atoms": n},
         extra={"S0": s0, "S00": s00, "S11": s11, "S01": s01,
                "commutator_norm": abs(commutator)})
+
+
+def tura_problem(state: SymmetricState, coplanar: bool):
+    """Search problem of tura_value over (n0, n1): -W."""
+    forms = _tura_forms(state.n_atoms, *spin_moments(state))
+    return _over_vectors(2, coplanar, lambda d: -_form_values(forms, d)[0],
+                         lambda *vs: tura_value(state, *vs))
 
 
 def cglmp_I(tables, d: int) -> float:

@@ -3,9 +3,11 @@
 FAMILIES maps each state family to the state class it builds and to the
 ordered, typed parameters of its constructor in `states`, whose name is
 the family name.  FUNCTIONALS maps each functional to the state class
-it reads and to its evaluate, optimize, lhv-bound and scan entries.
-Entries reach constructors and evaluators through module globals at
-call time, so a function wrapped in its module is wrapped here too.
+it reads and to its evaluate, optimize, lhv-bound and scan entries; the
+numerical work lives elsewhere, and every optimize entry is a search
+problem builder of `functionals`.  Entries reach constructors and
+evaluators through module globals at call time, so a function wrapped
+in its module is wrapped here too.
 
 A converter checks one JSON value and raises ValidationError naming
 where it sits, so a whole spec is checked before anything is built.
@@ -25,21 +27,16 @@ import numpy as np
 from . import states
 from .errors import CapacityError, UnknownNameError, ValidationError
 from .functionals import (
-    cfrd_margin, cfrd_quadrature_margin, cglmp_I, cglmp_functional, chsh_value, drummond_margin,
-    generalized_chsh_functional, mabk_value, mermin_check, mermin_coplanar_vectors, mermin_forms,
-    mermin_sides, reid_fraction, reid_ratio, tura_forms, tura_value, tura_witness, VIOLATION_TOL,
+    cfrd_margin, cfrd_quadrature_margin, cfrd_weight_problem, cglmp_I, cglmp_functional,
+    chsh_problem, chsh_value, drummond_margin, generalized_chsh_functional, mabk_value,
+    mermin_check, mermin_coplanar_vectors, mermin_problem, reid_problem, reid_ratio,
+    tura_problem, tura_value, VIOLATION_TOL,
 )
 from .lhv import cglmp_scenario, enumerate_lhv_bound, symmetric_lhv_min, two_setting_spin_scenario
 from .spin import SpinQuantum, UnitVector, build_spin_rep
-from .states import BipartiteState, MultiQubitState, SymmetricState, spin_correlation_matrix
+from .states import BipartiteState, MultiQubitState, SymmetricState
 
 GRID_CAP = 10 ** 5
-# cap on the cost of the states.sign_bin_series compile that a reid search starts with:
-# (d_A d_B)^2 for a pure state (its products make half as many multiply-adds), and
-# 10 (d_A d_B)^2 (d_A + d_B) for a mixed one (two rotations of rho, 2 (d_A d_B)^2 (d_A + d_B)
-# multiply-adds, at about a fifth of the pure rate).  maximally_entangled(446) costs 3.99e10
-# and compiled in 4.0 s on one thread
-REID_COMPILE_CAP = 4e10
 CGLMP_HVT_BOUND = 4.0  # reported next to the claimed LHVT bound, cglmp_functional(d).bound
 
 # ---------------------------------------------------------------------------
@@ -174,95 +171,6 @@ def build_state(family: str, params: dict):
 
 
 # ---------------------------------------------------------------------------
-# searches: (ranges, objective to maximize, report at the optimum)
-
-
-def _over_vectors(count: int, coplanar: bool, objective, report):
-    """Search over `count` unit vectors: one angle each in the x-z plane
-    when coplanar, else a polar and an azimuthal angle each.  A batch of
-    k angle rows reaches the objective as one (k, count, 3) array of
-    directions, and the objective returns k values; `report` gets one
-    row's directions as UnitVectors."""
-    def directions(x):
-        rows = np.empty((len(x), count, 3))
-        if coplanar:
-            np.sin(x, out=rows[..., 0])
-            rows[..., 1] = 0.0
-            np.cos(x, out=rows[..., 2])
-            return rows
-        polar, azimuth = x[:, 0::2], x[:, 1::2]
-        sin_polar = np.sin(polar)
-        np.multiply(sin_polar, np.cos(azimuth), out=rows[..., 0])
-        np.multiply(sin_polar, np.sin(azimuth), out=rows[..., 1])
-        np.cos(polar, out=rows[..., 2])
-        return rows
-
-    ranges = [(0.0, 2 * math.pi)] if coplanar else [(0.0, math.pi), (0.0, 2 * math.pi)]
-    # + 0.0 turns a y = -0.0 (sin(polar) < 0 at an azimuth of 0) into 0.0
-    return (ranges * count, lambda x: objective(directions(x)),
-            lambda x: report(*(UnitVector(*row) for row in (directions(x[None])[0] + 0.0).tolist())))
-
-
-def _chsh_search(state: BipartiteState, coplanar: bool):
-    # S is bilinear in the directions: sum_ij coef[i, j] u_i^T T v_j = u^T (coef (x) T) v
-    # with u = (u_1, u_2) and v = (v_1, v_2) flattened, one row per trial
-    functional = generalized_chsh_functional(state.s_a.two_s, state.s_b.two_s)
-    coef = np.zeros((2, 2))
-    for term in functional.terms:
-        coef[term.setting_a, term.setting_b] += term.coef
-    form, bound = np.kron(coef, spin_correlation_matrix(state)), functional.bound
-
-    def objective(d):
-        uv = d.reshape(len(d), 12)
-        return np.abs(np.einsum("ki,ki->k", uv[:, :6] @ form, uv[:, 6:])) - bound
-
-    return _over_vectors(4, coplanar, objective, lambda *vs: chsh_value(state, *vs))
-
-
-def _mermin_search(state: BipartiteState, coplanar: bool):
-    # -margin of the squared_difference reading (violation when LHS < RHS) where the premise
-    # holds; elsewhere below every -margin (|margin| <= 4s^3 + 2s^2), falling as the gap grows
-    if state.s_a != state.s_b:
-        raise ValidationError("mermin_check needs equal subsystem spins")
-    sval = state.s_a.s
-    forms = mermin_forms(sval, states.spin_moments(state)[1])
-    floor, tol = 4 * sval ** 3 + 2 * sval ** 2 + 1, VIOLATION_TOL * max(1.0, sval ** 2)
-
-    def objective(d):
-        lhs, rhs, gap = mermin_sides(forms, d)
-        return np.where(gap > tol, -floor - gap, rhs - lhs)
-
-    return _over_vectors(3, coplanar, objective, lambda *vs: mermin_check(state, *vs))
-
-
-def _tura_search(state: SymmetricState, coplanar: bool):
-    forms = tura_forms(state.n_atoms, *states.spin_moments(state))
-    return _over_vectors(2, coplanar, lambda d: -tura_witness(forms, d)[0],
-                         lambda *vs: tura_value(state, *vs))
-
-
-def _reid_search(state: BipartiteState, coplanar: bool):
-    # every P(+,+) and P(+|.) that reid_ratio reads is a trigonometric series in the angles:
-    # one compile, then per trial two phase rows per side, the 2x2 table and two dot
-    # products; reid_fraction scores a vanishing denominator -inf
-    d_a, d_b = state.dims
-    cost = (d_a * d_b) ** 2 * (1 if state.kind == "pure" else 10 * (d_a + d_b))
-    if cost > REID_COMPILE_CAP:
-        raise CapacityError(f"a reid search on dimensions {d_a} x {d_b} ({state.kind}) "
-                            f"exceeds the compile cap")
-    joint, plus_a, plus_b = states.sign_bin_series(state)
-    two_a, two_b = state.s_a.two_s, state.s_b.two_s
-
-    def objective(x):
-        e_a, e_b = states.sign_bin_phases(two_a, x[:, :2]), states.sign_bin_phases(two_b, x[:, 2:])
-        table = (e_a.reshape(-1, len(joint)) @ joint).reshape(len(x), 2, -1) @ e_b.swapaxes(1, 2)
-        return reid_fraction(np.clip(table.real, 0.0, 1.0), (e_a[:, 1] @ plus_a).real,
-                             (e_b[:, 0] @ plus_b).real)[0] - 1.0
-
-    return [(0.0, math.pi)] * 4, objective, lambda x: reid_ratio(state, *x)
-
-
-# ---------------------------------------------------------------------------
 # evaluate entries (state, settings, params) and lhv-bound entries (params)
 
 
@@ -288,13 +196,13 @@ def _cfrd(state, settings, params):
 def _cfrd_quadrature(state, settings, params):
     value = cfrd_quadrature_margin(state)
     return {"functional": "cfrd_quadrature", "value": value, "bound": 0.0,
-            "margin": value, "violation": False, "state": dict(state.meta)}
+            "margin": value, "violation": value < -VIOLATION_TOL, "state": dict(state.meta)}
 
 
 def _drummond(state, settings, p):
     margin = drummond_margin(p["J"], p["theta"])
     return {"functional": "drummond", "value": margin, "bound": 0.0,
-            "margin": margin, "violation": margin > 1e-9,
+            "margin": margin, "violation": margin > VIOLATION_TOL,
             "state": {"family": "drummond_limit", "J": p["J"], "theta": p["theta"]}}
 
 
@@ -340,9 +248,9 @@ def _asin(x):
 @dataclass(frozen=True)
 class Functional:
     """One functional's entries; None means the subcommand lacks it.
-    `optimize` maps (state, coplanar) to a settings search problem, or,
-    for a stateless functional, params to the spin of the pair-state
-    weight search `search.optimize_weights_cfrd`."""
+    `optimize` maps (state, coplanar), or a stateless functional's
+    checked params in order, to a search problem of `functionals`:
+    (ranges, objective to maximize, report at the optimum)."""
 
     state: type | None = None            # state class it reads; None: no state
     params: Callable = record({})        # converter of functional.params
@@ -359,18 +267,18 @@ FUNCTIONALS = {
     "chsh": Functional(
         BipartiteState, _CHSH_PARAMS, record(dict.fromkeys(("u1", "u2", "v1", "v2"), VEC3)),
         evaluate=lambda st, s, p: chsh_value(st, *s.values()).to_dict(),
-        optimize=_chsh_search, lhv_bound=_lhv_chsh, scan={}),
+        optimize=chsh_problem, lhv_bound=_lhv_chsh, scan={}),
     "mermin": Functional(
-        BipartiteState, settings=_mermin_settings, evaluate=_mermin, optimize=_mermin_search,
+        BipartiteState, settings=_mermin_settings, evaluate=_mermin, optimize=mermin_problem,
         scan={"theta_geometry": lambda x: {"theta": x},
               "sin_theta_geometry": lambda x: {"theta": _asin(x)}}),
     "reid": Functional(
         BipartiteState,
         settings=record(dict.fromkeys(("theta", "theta_star", "phi", "phi_star"), FLOAT)),
-        evaluate=lambda st, s, p: reid_ratio(st, *s.values()).to_dict(), optimize=_reid_search),
+        evaluate=lambda st, s, p: reid_ratio(st, *s.values()).to_dict(), optimize=reid_problem),
     "tura": Functional(
         SymmetricState, settings=record(dict.fromkeys(("n0", "n1"), VEC3)),
-        evaluate=lambda st, s, p: tura_value(st, *s.values()).to_dict(), optimize=_tura_search),
+        evaluate=lambda st, s, p: tura_value(st, *s.values()).to_dict(), optimize=tura_problem),
     "cfrd": Functional(BipartiteState, evaluate=_cfrd),
     "cfrd_quadrature": Functional(BipartiteState, evaluate=_cfrd_quadrature),
     "drummond": Functional(params=record({"J": INT, "theta": FLOAT}), evaluate=_drummond),
@@ -381,8 +289,9 @@ FUNCTIONALS = {
         evaluate=lambda st, s, p: {"functional": "cglmp_I", "value": cglmp_I(p["tables"], p["d"]),
                                    "claimed_lhvt_bound": cglmp_functional(p["d"]).bound,
                                    "hvt_bound": CGLMP_HVT_BOUND}),
-    "cfrd_weights": Functional(params=record({"two_s": INT}),
-                               optimize=lambda p: SpinQuantum(p["two_s"])),
+    "cfrd_weights": Functional(
+        params=record({"two_s": lambda v, where: SpinQuantum(INT(v, where))}),
+        optimize=cfrd_weight_problem),
     "generalized_chsh": Functional(params=_CHSH_PARAMS, lhv_bound=_lhv_chsh),
     "cglmp": Functional(params=record({"d": INT}), lhv_bound=_lhv_cglmp),
     "tura_symmetric": Functional(params=record({"n": INT}), lhv_bound=_lhv_tura),

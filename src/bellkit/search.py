@@ -1,8 +1,10 @@
 """Derivative-free violation search and parameter scans.
 
-Multi-start coordinate pattern search over measurement angles (and,
-for the moment-inequality case, over diagonal state weights).  The
-objective is always oriented so that positive values mean violation;
+Multi-start coordinate pattern search, and the scan over one state or
+geometry parameter.  The search problems themselves, over measurement
+angles and, for the moment inequality, over pair-state weights, are
+built in `functionals` beside the evaluators they read.  Every
+objective is oriented so that positive values mean violation;
 binned-probability objectives are only piecewise smooth, which is why
 no gradients are used.
 
@@ -20,11 +22,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .functionals import ViolationReport, cfrd_margin
+from .functionals import ViolationReport, cfrd_weight_problem
 from .functionals import mermin_coplanar_vectors  # noqa: F401  (public here)
 from .registry import OBJECT, build_state, family, lookup, require_state, state_args
-from .spin import SpinQuantum, build_spin_rep
-from .states import BipartiteState
+# build_spin_rep is unused here, but bench/tests/test_spans.py::
+# test_wrappers_installed_in_every_binding_namespace requires this module to bind it
+from .spin import SpinQuantum, build_spin_rep  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -107,8 +110,8 @@ def multi_start_max(objective, ranges, config: SearchConfig):
 
 
 def maximize(problem, config: SearchConfig) -> ViolationReport:
-    """Run a registry search problem (ranges, objective, report at the
-    optimum) and stamp its report with the seed and the wall time."""
+    """Run a search problem of `functionals` (ranges, objective, report at
+    the optimum) and stamp its report with the seed and the wall time."""
     t0 = time.perf_counter()
     ranges, objective, report_at = problem
     x, _ = multi_start_max(objective, ranges, config)
@@ -126,44 +129,6 @@ def optimize_settings(state, functional: str, config: SearchConfig) -> Violation
     entry = lookup(functional, "optimize")
     require_state(functional, entry, type(state))
     return maximize(entry.optimize(state, config.coplanar), config)
-
-
-def cfrd_weight_problem(s: SpinQuantum):
-    """The search problem (ranges, objective, report at the optimum) of
-    optimize_weights_cfrd.  On the pair state sum_m r_m |s,m>|s,-m> with
-    real r, each moment <A (x) B> that cfrd_margin reads is the quadratic
-    form r^T Re(A o B') r / r^T r, B' being B with rows and columns
-    reversed (index m -> -m) and o the entrywise product; the forms are
-    built once and the objective scores a batch of rows at a time."""
-    if s.two_s > 20:
-        raise CapacityError("weight search supports s <= 10")
-    rep = build_spin_rep(s)
-    d = s.dim
-
-    def form(mat_a, mat_b):
-        return (mat_a * mat_b[::-1, ::-1]).real
-
-    sx, sy = rep.sx, rep.sy
-    # lhs and re_part; im_part = <S_y S_x - S_x S_y> has the form 0, as S_y is imaginary
-    # and S_x real in this basis
-    forms = np.array([form(sx @ sx + sy @ sy, sx @ sx + sy @ sy), form(sx, sx) + form(sy, sy)])
-
-    def objective(x):
-        norm2 = np.sum(x * x, axis=1)
-        small = norm2 < 1e-18  # |r| < 1e-9: no state
-        lhs, re_part = np.sum(x @ forms * x, axis=-1) / np.where(small, 1.0, norm2)
-        return np.where(small, -math.inf, re_part ** 2 - lhs)
-
-    def report(x):
-        r = x / np.linalg.norm(x)
-        psi = np.zeros((d, d), dtype=complex)
-        psi[np.arange(d), np.arange(d - 1, -1, -1)] = r
-        best = cfrd_margin(BipartiteState("pure", s, s, psi=psi / np.linalg.norm(psi)),
-                           rep.sx, rep.sy, rep.sx, rep.sy)
-        best.settings = [float(v) for v in r]
-        return best
-
-    return [(-1.0, 1.0)] * d, objective, report
 
 
 def optimize_weights_cfrd(s: SpinQuantum, config: SearchConfig) -> ViolationReport:

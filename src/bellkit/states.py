@@ -25,14 +25,13 @@ from .spin import (
     spin_component,
 )
 
-PURE_DIM_CAP = 4097
 MIXED_DIM_CAP = 4096
 
 
 def _check_dims(kind: str, d_a: int, d_b: int):
     """Refuse a bipartite state over its dimension cap, before anything
     of its size is allocated."""
-    if kind == "pure" and max(d_a, d_b) > PURE_DIM_CAP:
+    if kind == "pure" and max(d_a, d_b) > DIM_CAP:
         raise CapacityError("pure-state dimension cap exceeded")
     if kind == "mixed" and d_a * d_b > MIXED_DIM_CAP:
         raise CapacityError("mixed-state dimension cap exceeded")
@@ -524,8 +523,7 @@ def spin_moments(state) -> tuple[np.ndarray, np.ndarray]:
     A symmetric state is read through its images J_k |psi>, O(N) from
     the ladder coefficients; a bipartite state through each side's
     reduced density matrix and the cross block
-    T[i, j] = <S^A_i (x) S^B_j>, contracted in expect_product's order so
-    that searches over T take the same steps as over its correlators."""
+    T[i, j] = <S^A_i (x) S^B_j>."""
     if isinstance(state, SymmetricState):
         if state.n_atoms < 1:
             raise ValidationError("spin_moments requires n_atoms >= 1")
@@ -539,7 +537,7 @@ def spin_moments(state) -> tuple[np.ndarray, np.ndarray]:
     ops_a, ops_b = (np.array([r.sx, r.sy, r.sz]) for r in reps)
     if state.kind == "pure":
         psi = state.psi
-        cross = np.array([[np.trace(m @ b.T) for b in ops_b] for m in psi.conj().T @ ops_a @ psi])
+        cross = np.einsum("iab,jab->ij", psi.conj().T @ ops_a @ psi, ops_b)
     else:
         rho = state.rho.reshape(*state.dims, *state.dims)
         cross = np.einsum("iac,jbd,cdab->ij", ops_a, ops_b, rho)

@@ -55,6 +55,10 @@ def test_no_import_cycle_and_search_below_cli():
     for module in graph:
         if module != "__init__":
             assert module not in reach(module, set()), module
+    # every search problem is built beside its evaluator, not in the registry or the search
+    builders = {name: entry.optimize for name, entry in FUNCTIONALS.items() if entry.optimize}
+    assert {name: f.__module__ for name, f in builders.items()} == \
+        dict.fromkeys(builders, "bellkit.functionals")
 
 
 def test_family_names_are_constructor_names():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bellkit.errors import CapacityError, DegenerateConditionError, ValidationError
-from bellkit.functionals import cfrd_margin, reid_ratio
+from bellkit.functionals import cfrd_margin, cfrd_weight_problem, reid_ratio
 from bellkit.registry import FAMILIES, FUNCTIONALS, build_state
 from bellkit.spin import SpinQuantum, build_spin_rep
 from bellkit.states import (
@@ -14,7 +14,6 @@ from bellkit.states import (
 from bellkit.search import (
     ScanSpec,
     SearchConfig,
-    cfrd_weight_problem,
     mermin_coplanar_vectors,
     multi_start_max,
     optimize_settings,
@@ -301,7 +300,7 @@ def test_scan_grid_validation():
 def test_reid_search_propagates_real_errors(monkeypatch):
     # only a vanishing denominator counts as a failed evaluation: an error in
     # reid_ratio at the optimum, or in the compiled scorer at a step, reaches the caller
-    import bellkit.registry
+    import bellkit.functionals
 
     def broken(name):
         def raise_error(*args, **kwargs):
@@ -309,7 +308,7 @@ def test_reid_search_propagates_real_errors(monkeypatch):
         return raise_error
 
     for name in ("reid_ratio", "reid_fraction"):
-        monkeypatch.setattr(bellkit.registry, name, broken(name))
+        monkeypatch.setattr(bellkit.functionals, name, broken(name))
         with pytest.raises(RuntimeError, match=f"{name} bug"):
             optimize_settings(maximally_entangled(1), "reid", SearchConfig(seed=1, restarts=1))
 
@@ -362,7 +361,7 @@ def test_reid_compiled_objective_equals_reid_ratio():
 
 
 def test_reid_search_calls_reid_ratio_once_at_the_optimum(monkeypatch):
-    import bellkit.registry
+    import bellkit.functionals
 
     calls = []
 
@@ -370,7 +369,7 @@ def test_reid_search_calls_reid_ratio_once_at_the_optimum(monkeypatch):
         calls.append([float(a) for a in angles])
         return reid_ratio(state, *angles, **kwargs)
 
-    monkeypatch.setattr(bellkit.registry, "reid_ratio", counted)
+    monkeypatch.setattr(bellkit.functionals, "reid_ratio", counted)
     rep = optimize_settings(werner(2, -0.5), "reid",
                             SearchConfig(seed=4, restarts=3, max_evals_per_restart=100))
     assert calls == [rep.settings]
@@ -386,19 +385,19 @@ def test_reid_search_macroscopic_spin():
 
 
 def test_reid_search_refused_above_the_compile_cap(monkeypatch):
-    # refused before states.sign_bin_series runs, for a pure state above
+    # refused before sign_bin_series runs, for a pure state above
     # maximally_entangled(446) and for a mixed state whose rotations would cost as much
-    import bellkit.registry
+    import bellkit.functionals
 
     def no_compile(state):
         raise AssertionError("compiled a state above the cap")
 
-    monkeypatch.setattr(bellkit.registry.states, "sign_bin_series", no_compile)
+    monkeypatch.setattr(bellkit.functionals, "sign_bin_series", no_compile)
     with pytest.raises(CapacityError, match="compile cap"):
         optimize_settings(maximally_entangled(447), "reid", SearchConfig(seed=1, restarts=1))
     # werner(3) is mixed with d_A d_B = 16 and d_A + d_B = 8: cost 10 * 16^2 * 8, where a
     # pure state of the same dimensions would cost 16^2
-    monkeypatch.setattr(bellkit.registry, "REID_COMPILE_CAP", 10 * 16 ** 2 * 8 - 1)
+    monkeypatch.setattr(bellkit.functionals, "REID_COMPILE_CAP", 10 * 16 ** 2 * 8 - 1)
     with pytest.raises(CapacityError, match="compile cap"):
         optimize_settings(werner(3, 0.2), "reid", SearchConfig(seed=1, restarts=1))
 
