@@ -47,10 +47,14 @@ class SearchConfig:
             raise ValidationError("seed must be >= 0")
         if self.restarts < 1:
             raise ValidationError("restarts must be >= 1")
+        if self.max_evals_per_restart < 1:
+            raise ValidationError("max_evals_per_restart must be >= 1")
         if self.restarts * self.max_evals_per_restart > 10 ** 6:
             raise CapacityError("restarts x max_evals_per_restart exceeds the 1e6 cap")
-        if self.tolerance <= 0:
-            raise ValidationError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:  # refuses NaN too
+            raise ValidationError("tolerance must be finite and positive")
+        if not 0 < self.initial_step < math.inf:
+            raise ValidationError("initial_step must be finite and positive")
 
 
 def pattern_search_max(objective, x0: np.ndarray, step: float,

@@ -8,7 +8,7 @@ states (Werner, separable mixtures).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -50,6 +50,18 @@ class MeasurementSetting:
             raise ValidationError(f"side must be 'A' or 'B', got {self.side!r}")
 
 
+def _check_density(m: np.ndarray, name: str):
+    """Refuse a matrix that is not a density matrix: Hermitian, trace 1
+    and positive semidefinite, each to 1e-10 ("not <=" refuses NaN too)."""
+    if not np.max(np.abs(m - m.conj().T)) <= 1e-10:
+        raise ValidationError(f"{name} not Hermitian")
+    tr = float(np.real(np.trace(m)))
+    if not abs(tr - 1.0) <= 1e-10:
+        raise ValidationError(f"{name} trace {tr} != 1")
+    if float(np.min(np.linalg.eigvalsh(m))) < -1e-10:
+        raise ValidationError(f"{name} not positive semidefinite")
+
+
 def _fix_global_phase(array: np.ndarray) -> np.ndarray:
     """Make the first nonzero amplitude (row-major) real and positive."""
     flat = array.ravel()
@@ -83,13 +95,7 @@ class BipartiteState:
         elif self.kind == "mixed":
             if self.rho is None or self.rho.shape != (d_a * d_b, d_a * d_b):
                 raise ValidationError("mixed state needs a (d_A d_B)^2 density matrix")
-            if not np.max(np.abs(self.rho - self.rho.conj().T)) <= 1e-10:
-                raise ValidationError("density matrix not Hermitian")
-            tr = float(np.real(np.trace(self.rho)))
-            if not abs(tr - 1.0) <= 1e-10:
-                raise ValidationError(f"density matrix trace {tr} != 1")
-            if float(np.min(np.linalg.eigvalsh(self.rho))) < -1e-10:
-                raise ValidationError("density matrix not positive semidefinite")
+            _check_density(self.rho, "density matrix")
         else:
             raise ValidationError(f"unknown state kind {self.kind!r}")
 
@@ -121,7 +127,7 @@ def expect_product(state: BipartiteState, mat_a: np.ndarray, mat_b: np.ndarray) 
     if mat_a.shape != (d_a, d_a) or mat_b.shape != (d_b, d_b):
         raise ValidationError("observable dimensions do not match the state")
     if state.kind == "pure":
-        val = np.trace(state.psi.conj().T @ mat_a @ state.psi @ mat_b.T)
+        val = np.vdot(state.psi, mat_a @ state.psi @ mat_b.T)
     else:
         r = state.rho.reshape(d_a, d_b, d_a, d_b)
         val = np.einsum("ac,bd,cdab->", mat_a, mat_b, r)
@@ -144,16 +150,24 @@ def as_matrix(obs) -> np.ndarray:
 # constructors
 
 
+def _catalog_state(kind: str, s_a: SpinQuantum, s_b: SpinQuantum, array: np.ndarray,
+                   family: str, **params) -> BipartiteState:
+    """A catalog state: `array` stored as psi or rho by kind, and the
+    report record {family, params in call order, N_A = 2s_A, N_B = 2s_B}."""
+    return BipartiteState(kind, s_a, s_b, **{"psi" if kind == "pure" else "rho": array},
+                          meta={"family": family, **params,
+                                "N_A": s_a.two_s, "N_B": s_b.two_s})
+
+
 def maximally_entangled(n: int) -> BipartiteState:
     """sum_m |s,m>_A |s,m>_B / sqrt(n+1) with s = n/2."""
     if n < 1:
         raise ValidationError("n must be >= 1")
     d = n + 1
     _check_dims("pure", d, d)
-    psi = np.eye(d, dtype=complex) / np.sqrt(d)
     sq = SpinQuantum(n)
-    return BipartiteState("pure", sq, sq, psi=psi,
-                          meta={"family": "maximally_entangled", "n": n, "N_A": n, "N_B": n})
+    return _catalog_state("pure", sq, sq, np.eye(d, dtype=complex) / np.sqrt(d),
+                          "maximally_entangled", n=n)
 
 
 def relative_phase(n: int, theta: float) -> BipartiteState:
@@ -167,9 +181,7 @@ def relative_phase(n: int, theta: float) -> BipartiteState:
     k = n / 2.0 - np.arange(d)  # m_A in the basis order m = s ... -s, and m_B = -k
     psi = _fix_global_phase(np.diag(np.exp(1j * k * theta))[:, ::-1] / np.sqrt(d))
     sq = SpinQuantum(n)
-    return BipartiteState("pure", sq, sq, psi=psi,
-                          meta={"family": "relative_phase", "n": n, "theta": theta,
-                                "N_A": n, "N_B": n})
+    return _catalog_state("pure", sq, sq, psi, "relative_phase", n=n, theta=theta)
 
 
 def flip_operator(d: int) -> np.ndarray:
@@ -188,9 +200,7 @@ def werner(n: int, phi: float) -> BipartiteState:
     v = flip_operator(d)
     rho = ((d - phi) * np.eye(d * d) + (d * phi - 1) * v) / (d ** 3 - d)
     sq = SpinQuantum(n)
-    return BipartiteState("mixed", sq, sq, rho=rho.astype(complex),
-                          meta={"family": "werner", "n": n, "phi": phi,
-                                "N_A": n, "N_B": n})
+    return _catalog_state("mixed", sq, sq, rho.astype(complex), "werner", n=n, phi=phi)
 
 
 def angular_momentum_eigenstate(n_a: int, n_b: int, j_total, k_total) -> BipartiteState:
@@ -214,11 +224,9 @@ def angular_momentum_eigenstate(n_a: int, n_b: int, j_total, k_total) -> Biparti
     norm = np.linalg.norm(psi)
     if norm < 1e-12:
         raise ValidationError("state vanishes for these quantum numbers")
-    psi = _fix_global_phase(psi / norm)
-    return BipartiteState("pure", SpinQuantum(n_a), SpinQuantum(n_b), psi=psi,
-                          meta={"family": "angular_momentum_eigenstate",
-                                "n_a": n_a, "n_b": n_b, "j": j_total, "k": k_total,
-                                "N_A": n_a, "N_B": n_b})
+    return _catalog_state("pure", SpinQuantum(n_a), SpinQuantum(n_b),
+                          _fix_global_phase(psi / norm), "angular_momentum_eigenstate",
+                          n_a=n_a, n_b=n_b, j=j_total, k=k_total)
 
 
 def singlet(two_s: int) -> BipartiteState:
@@ -235,10 +243,8 @@ def rm_weighted(s: SpinQuantum, r) -> BipartiteState:
     norm = np.linalg.norm(r)
     if norm < 1e-12:
         raise ValidationError("weight vector must not be zero")
-    psi = _fix_global_phase(np.diag(r / norm))
-    return BipartiteState("pure", s, s, psi=psi,
-                          meta={"family": "rm_weighted", "two_s": s.two_s,
-                                "N_A": s.two_s, "N_B": s.two_s})
+    return _catalog_state("pure", s, s, _fix_global_phase(np.diag(r / norm)),
+                          "rm_weighted", two_s=s.two_s)
 
 
 def separable_mixture(components) -> BipartiteState:
@@ -259,19 +265,12 @@ def separable_mixture(components) -> BipartiteState:
         for name, m in (("A", ra), ("B", rb)):
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValidationError(f"factor {name} is not square")
-            if not np.max(np.abs(m - m.conj().T)) <= 1e-10:
-                raise ValidationError(f"factor {name} not Hermitian")
-            if not abs(np.real(np.trace(m)) - 1.0) <= 1e-10:
-                raise ValidationError(f"factor {name} trace != 1")
-            if float(np.min(np.linalg.eigvalsh(m))) < -1e-10:
-                raise ValidationError(f"factor {name} not positive semidefinite")
+            _check_density(m, f"factor {name}")
         if ra.shape[0] != d_a or rb.shape[0] != d_b:
             raise ValidationError("inconsistent factor dimensions across components")
         rho += w * np.kron(ra, rb)
-    return BipartiteState("mixed", SpinQuantum(d_a - 1), SpinQuantum(d_b - 1), rho=rho,
-                          meta={"family": "separable_mixture",
-                                "components": len(components),
-                                "N_A": d_a - 1, "N_B": d_b - 1})
+    return _catalog_state("mixed", SpinQuantum(d_a - 1), SpinQuantum(d_b - 1), rho,
+                          "separable_mixture", components=len(components))
 
 
 @dataclass(frozen=True)
@@ -331,10 +330,10 @@ def dicke(n_atoms: int, k: int) -> SymmetricState:
 
 def random_pure_state(s_a: SpinQuantum, s_b: SpinQuantum, rng) -> BipartiteState:
     """Haar-ish random pure state (Gaussian amplitudes, normalized)."""
+    _check_dims("pure", s_a.dim, s_b.dim)
     psi = rng.normal(size=(s_a.dim, s_b.dim)) + 1j * rng.normal(size=(s_a.dim, s_b.dim))
-    psi = _fix_global_phase(psi / np.linalg.norm(psi))
-    return BipartiteState("pure", s_a, s_b, psi=psi,
-                          meta={"family": "random_pure", "N_A": s_a.two_s, "N_B": s_b.two_s})
+    return _catalog_state("pure", s_a, s_b, _fix_global_phase(psi / np.linalg.norm(psi)),
+                          "random_pure")
 
 
 # ---------------------------------------------------------------------------
@@ -395,23 +394,19 @@ def conditioned_state(state: BipartiteState, obs_a: HermitianObservable,
     """State after measuring obs_a on subsystem A with outcome alpha."""
     vecs = obs_a.eigenvectors[:, obs_a.outcome_masks[obs_a.outcome_index(alpha)]]
     proj = vecs @ vecs.conj().T
-    d_a, d_b = state.dims
-    if state.kind == "pure":
-        psi = proj @ state.psi
-        p = float(np.sum(np.abs(psi) ** 2))
-        if p <= 1e-14:
-            raise DegenerateConditionError(f"outcome {alpha} has probability {p}")
-        return BipartiteState("pure", state.s_a, state.s_b, psi=psi / np.sqrt(p),
-                              meta=dict(state.meta, conditioned_on=alpha))
-    rho = np.einsum("ik,kblc,lj->ibjc", proj, state.rho.reshape(d_a, d_b, d_a, d_b), proj,
-                    optimize=True).reshape(state.rho.shape)  # (P (x) 1) rho (P (x) 1)
-    p = float(np.real(np.trace(rho)))
+    pure = state.kind == "pure"
+    if pure:
+        out = proj @ state.psi
+        p = float(np.sum(np.abs(out) ** 2))
+    else:  # (P (x) 1) rho (P (x) 1), made exactly Hermitian
+        out = np.einsum("ik,kblc,lj->ibjc", proj, state.rho.reshape(*state.dims, *state.dims),
+                        proj, optimize=True).reshape(state.rho.shape)
+        out = (out + out.conj().T) / 2
+        p = float(np.real(np.trace(out)))
     if p <= 1e-14:
         raise DegenerateConditionError(f"outcome {alpha} has probability {p}")
-    rho = rho / p
-    rho = (rho + rho.conj().T) / 2
-    return BipartiteState("mixed", state.s_a, state.s_b, rho=rho,
-                          meta=dict(state.meta, conditioned_on=alpha))
+    return replace(state, meta=dict(state.meta, conditioned_on=alpha),
+                   **{"psi" if pure else "rho": out / (np.sqrt(p) if pure else p)})
 
 
 def binned_joint_probability(state: BipartiteState, setting_a: MeasurementSetting,

@@ -296,6 +296,12 @@ PROBES = [
     # is the largest admitted
     (EXIT_CAPACITY, "optimize", {"state": _state("maximally_entangled", n=447),
                                  "functional": {"name": "reid"}, "search": SEARCH}),
+    # a search that cannot search: formerly exit 0 with the best random start point
+    *[(EXIT_BAD_SPEC, "optimize", {"state": ME, "functional": {"name": "chsh"},
+                                   "search": dict(SEARCH, **bad)})
+      for bad in ({"initial_step": 0}, {"initial_step": -1}, {"max_evals_per_restart": 0},
+                  {"max_evals_per_restart": -5},
+                  {"restarts": 1, "max_evals_per_restart": -10 ** 7})],
 ]
 
 

@@ -27,8 +27,12 @@ from reference import dense_reid_ratio_maximally_entangled, pattern_search_max_o
 def test_search_config_validation():
     with pytest.raises(ValidationError):
         SearchConfig(seed=1, restarts=0)
-    with pytest.raises(ValidationError):
-        SearchConfig(seed=1, tolerance=0.0)
+    for bad in ({"tolerance": 0.0}, {"tolerance": math.nan}, {"tolerance": math.inf},
+                {"initial_step": 0.0}, {"initial_step": -1.0}, {"initial_step": math.nan},
+                {"initial_step": math.inf}, {"max_evals_per_restart": 0},
+                {"max_evals_per_restart": -5}, {"restarts": 1, "max_evals_per_restart": -10 ** 7}):
+        with pytest.raises(ValidationError):
+            SearchConfig(seed=1, **bad)
     # the budget cap: restarts x evaluations per restart at most 1e6
     SearchConfig(seed=1, restarts=500, max_evals_per_restart=2000)
     for restarts, evals in ((501, 2000), (10 ** 12, 5), (1, 10 ** 12)):

@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from bellkit.errors import DegenerateConditionError, ValidationError
+from bellkit.errors import CapacityError, DegenerateConditionError, ValidationError
+from bellkit.registry import build_state
 from bellkit.spin import SpinQuantum, UnitVector, build_spin_rep, spin_component
 from bellkit.states import (
     BipartiteState,
@@ -24,6 +25,7 @@ from bellkit.states import (
     joint_probability,
     marginal_probability,
     maximally_entangled,
+    outcome_probabilities,
     random_pure_state,
     relative_phase,
     rm_weighted,
@@ -316,6 +318,7 @@ def test_binned_joint_probability():
     assert abs(table.sum() - 1.0) < 1e-10
     with pytest.raises(ValidationError):
         binned_joint_probability(st, sa, MeasurementSetting("A", sb.direction))
+    assert np.array_equal(binned_joint_probability(st, sb, sa), table)  # either order
 
 
 def test_binned_product_state_factorizes():
@@ -366,6 +369,106 @@ def test_state_invariant_validation():
     with pytest.raises(ValidationError):
         BipartiteState("mixed", SpinQuantum(1), SpinQuantum(1),
                        rho=np.diag([0.9, 0.3, -0.1, -0.1]))
+
+
+S1 = SpinQuantum(1)
+HALF = np.eye(2) / 2
+UP = np.diag([1.0, 0.0])
+
+
+def _conditioned_on_impossible_outcome():
+    st = separable_mixture([(1.0, UP, HALF)])  # A is spin up
+    oa = spin_component(build_spin_rep(S1), UnitVector(0.0, 0.0, 1.0))
+    return conditioned_state(st, oa, -0.5)
+
+
+REFUSALS = {  # (error, message, construction)
+    "pure shape": (ValidationError, "coefficient matrix",
+                   lambda: BipartiteState("pure", S1, S1, psi=np.ones((2, 3)))),
+    "pure missing": (ValidationError, "coefficient matrix",
+                     lambda: BipartiteState("pure", S1, S1, rho=np.eye(4) / 4)),
+    "mixed shape": (ValidationError, r"needs a \(d_A d_B\)\^2",
+                    lambda: BipartiteState("mixed", S1, S1, rho=np.eye(3) / 3)),
+    "mixed trace": (ValidationError, "trace 2.0 != 1",
+                    lambda: BipartiteState("mixed", S1, S1, rho=np.eye(4) / 2)),
+    "mixed Hermitian": (ValidationError, "not Hermitian", lambda: BipartiteState(
+        "mixed", S1, S1, rho=np.eye(4) / 4 + np.triu(np.ones((4, 4)), 1) * 0.01)),
+    "unknown kind": (ValidationError, "unknown state kind",
+                     lambda: BipartiteState("bogus", S1, S1, psi=np.eye(2))),
+    "mixed cap": (CapacityError, "mixed-state", lambda: werner(64, 0.0)),  # 65^2 > 4096
+    "no components": (ValidationError, "at least one", lambda: separable_mixture([])),
+    "negative weight": (ValidationError, "non-negative",
+                        lambda: separable_mixture([(-0.5, UP, UP), (1.5, UP, UP)])),
+    "factor not square": (ValidationError, "factor A is not square",
+                          lambda: separable_mixture([(1.0, np.ones((2, 3)) / 2, UP)])),
+    "factor not Hermitian": (ValidationError, "factor B not Hermitian", lambda: separable_mixture(
+        [(1.0, UP, np.array([[0.5, 0.3], [0.0, 0.5]]))])),
+    "factor trace": (ValidationError, "factor B trace",
+                     lambda: separable_mixture([(1.0, UP, np.eye(2))])),
+    "factor not PSD": (ValidationError, "factor A not positive",
+                       lambda: separable_mixture([(1.0, np.diag([1.5, -0.5]), UP)])),
+    "factor size": (ValidationError, "inconsistent factor dimensions",
+                    lambda: separable_mixture([(0.5, UP, UP), (0.5, UP, np.eye(3) / 3)])),
+    "qubit cap": (CapacityError, "n > 14", lambda: MultiQubitState(15, np.ones(1))),
+    "qubit length": (ValidationError, "wrong length",
+                     lambda: MultiQubitState(2, np.ones(3) / math.sqrt(3))),
+    "symmetric length": (ValidationError, "wrong length",
+                         lambda: SymmetricState(2, np.ones(2) / math.sqrt(2))),
+    "mixed condition": (DegenerateConditionError, "probability",
+                        _conditioned_on_impossible_outcome),
+    "werner n": (ValidationError, "n must be", lambda: werner(0, 0.0)),
+    "random pure cap": (CapacityError, "pure-state", lambda: random_pure_state(
+        SpinQuantum(4097), SpinQuantum(1), None)),  # refused before any draw
+    "K above J": (ValidationError, "exceeds J", lambda: angular_momentum_eigenstate(2, 2, 1, 2)),
+    "observable size": (ValidationError, "dimensions do not match",
+                        lambda: expect_product(maximally_entangled(1), np.eye(3), np.eye(2))),
+    "setting side": (ValidationError, "side must be",
+                     lambda: MeasurementSetting("C", UnitVector(0.0, 0.0, 1.0))),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals(case):
+    error, message, make = REFUSALS[case]
+    with pytest.raises(error, match=message):
+        make()
+
+
+CATALOG_META = [  # the fuzz test's bipartite states, built as the CLI builds them
+    ("maximally_entangled", {"n": 1}, {"family": "maximally_entangled", "n": 1,
+                                       "N_A": 1, "N_B": 1}),
+    ("relative_phase", {"n": 2, "theta": 0.4}, {"family": "relative_phase", "n": 2,
+                                                "theta": 0.4, "N_A": 2, "N_B": 2}),
+    ("werner", {"n": 1, "phi": -0.5}, {"family": "werner", "n": 1, "phi": -0.5,
+                                       "N_A": 1, "N_B": 1}),
+    ("angular_momentum_eigenstate", {"n_a": 2, "n_b": 2, "j": 1, "k": 0},
+     {"family": "angular_momentum_eigenstate", "n_a": 2, "n_b": 2, "j": 1.0, "k": 0.0,
+      "N_A": 2, "N_B": 2}),
+    ("singlet", {"two_s": 2}, {"family": "angular_momentum_eigenstate", "n_a": 2, "n_b": 2,
+                               "j": 0, "k": 0, "N_A": 2, "N_B": 2}),
+    ("rm_weighted", {"two_s": 1, "r": [1, 0.5]}, {"family": "rm_weighted", "two_s": 1,
+                                                  "N_A": 1, "N_B": 1}),
+    ("separable_mixture", {"components": [
+        {"weight": 0.5, "rho_a": [[1, 0], [0, 0]], "rho_b": [[0.5, 0.5], [0.5, 0.5]]},
+        {"weight": 0.5, "rho_a": [[0.5, 0], [0, 0.5]], "rho_b": [[0, 0], [0, 1]]}]},
+     {"family": "separable_mixture", "components": 2, "N_A": 1, "N_B": 1}),
+]
+
+
+@pytest.mark.parametrize("family, params, meta", CATALOG_META)
+def test_catalog_meta(family, params, meta):
+    # keys, their order, values and value types; conditioning appends one key
+    st = build_state(family, params)
+    assert [(k, v, type(v)) for k, v in st.meta.items()] == [
+        (k, v, type(v)) for k, v in meta.items()]
+    oa = spin_component(build_spin_rep(st.s_a), UnitVector(0.0, 0.0, 1.0))
+    alpha = oa.outcome_spectrum[int(np.argmax(outcome_probabilities(st.reduced("A"), oa)))]
+    assert conditioned_state(st, oa, alpha).meta == dict(meta, conditioned_on=alpha)
+
+
+def test_random_pure_meta():
+    st = random_pure_state(SpinQuantum(2), SpinQuantum(3), RNG)
+    assert list(st.meta.items()) == [("family", "random_pure"), ("N_A", 2), ("N_B", 3)]
 
 
 def test_non_finite_states_refused():
