@@ -25,6 +25,7 @@ from .states import (
     BipartiteState,
     MeasurementSetting,
     SymmetricState,
+    _catalog_state,
     as_matrix,
     binned_joint_probability,
     correlator,
@@ -372,17 +373,16 @@ def mabk_value(n: int) -> ViolationReport:
     with +-1 outcomes per site; classical bound 2^(n/2) for even n.
     """
     from .states import ghz
-    amp = ghz(n).amplitudes  # refuses n outside 2..14 before allocating
+    state = ghz(n)  # refuses n outside 2..14 before allocating
     if n % 2:
         raise ValidationError("the printed bound 2^(n/2) applies to even n")
     # tensor(sigma_x + i sigma_y) = 2^n |up...up><down...down|
-    t = 2 ** n * np.conj(amp[0]) * amp[-1]
+    t = 2 ** n * np.conj(state.amplitudes[0]) * state.amplitudes[-1]
     value = float(t.imag)  # (t - conj(t)) / 2i
     bound = 2.0 ** (n / 2)
     margin = value - bound
     return ViolationReport(functional="mabk", value=value, bound=bound, margin=margin,
-                           violation=margin > VIOLATION_TOL,
-                           state_meta={"family": "ghz", "n": n})
+                           violation=margin > VIOLATION_TOL, state_meta=dict(state.meta))
 
 
 def _reid_direction(angle: float) -> UnitVector:
@@ -510,8 +510,8 @@ def cfrd_weight_problem(s: SpinQuantum):
         r = x / np.linalg.norm(x)
         psi = np.zeros((d, d), dtype=complex)
         psi[np.arange(d), np.arange(d - 1, -1, -1)] = r
-        best = cfrd_margin(BipartiteState("pure", s, s, psi=psi / np.linalg.norm(psi)),
-                           rep.sx, rep.sy, rep.sx, rep.sy)
+        pair = _catalog_state("pure", s, s, psi / np.linalg.norm(psi), "cfrd_pair", two_s=s.two_s)
+        best = cfrd_margin(pair, rep.sx, rep.sy, rep.sx, rep.sy)
         best.settings = [float(v) for v in r]
         return best
 
@@ -553,17 +553,14 @@ def tura_value(state: SymmetricState, n0: UnitVector, n1: UnitVector) -> Violati
     evaluated from the collective spin moments <J> and <J_i J_j> of the
     (N+1)-dimensional symmetric basis; W < 0 means violation.
     """
-    n = state.n_atoms
     mean, second = spin_moments(state)
     u0, u1 = n0.as_array(), n1.as_array()
-    w, s0, s00, s11, s01 = map(float, _form_values(_tura_forms(n, mean, second),
+    w, s0, s00, s11, s01 = map(float, _form_values(_tura_forms(state.n_atoms, mean, second),
                                                    np.array([u0, u1])))
     commutator = float(np.cross(u0, u1) @ mean)  # <[J.n0, J.n1]> / i
     return ViolationReport(
-        functional="tura", value=w, bound=0.0, margin=w,
-        violation=w < -VIOLATION_TOL,
-        settings=[_vec(n0), _vec(n1)],
-        state_meta={"family": "symmetric", "n_atoms": n},
+        functional="tura", value=w, bound=0.0, margin=w, violation=w < -VIOLATION_TOL,
+        settings=[_vec(n0), _vec(n1)], state_meta=dict(state.meta),
         extra={"S0": s0, "S00": s00, "S11": s11, "S01": s01,
                "commutator_norm": abs(commutator)})
 

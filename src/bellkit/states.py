@@ -150,13 +150,16 @@ def as_matrix(obs) -> np.ndarray:
 # constructors
 
 
+def _record(family: str, **params) -> dict:
+    """The report record, `meta`, of every catalog state: {family, params in call order}."""
+    return {"family": family, **params}
+
+
 def _catalog_state(kind: str, s_a: SpinQuantum, s_b: SpinQuantum, array: np.ndarray,
                    family: str, **params) -> BipartiteState:
-    """A catalog state: `array` stored as psi or rho by kind, and the
-    report record {family, params in call order, N_A = 2s_A, N_B = 2s_B}."""
+    """A catalog BipartiteState: array as psi or rho by kind, record ending N_A = 2s_A, N_B = 2s_B."""
     return BipartiteState(kind, s_a, s_b, **{"psi" if kind == "pure" else "rho": array},
-                          meta={"family": family, **params,
-                                "N_A": s_a.two_s, "N_B": s_b.two_s})
+                          meta=_record(family, **params, N_A=s_a.two_s, N_B=s_b.two_s))
 
 
 def maximally_entangled(n: int) -> BipartiteState:
@@ -181,7 +184,7 @@ def relative_phase(n: int, theta: float) -> BipartiteState:
     k = n / 2.0 - np.arange(d)  # m_A in the basis order m = s ... -s, and m_B = -k
     psi = _fix_global_phase(np.diag(np.exp(1j * k * theta))[:, ::-1] / np.sqrt(d))
     sq = SpinQuantum(n)
-    return _catalog_state("pure", sq, sq, psi, "relative_phase", n=n, theta=theta)
+    return _catalog_state("pure", sq, sq, psi, "relative_phase", n=n, theta=float(theta))
 
 
 def flip_operator(d: int) -> np.ndarray:
@@ -200,7 +203,7 @@ def werner(n: int, phi: float) -> BipartiteState:
     v = flip_operator(d)
     rho = ((d - phi) * np.eye(d * d) + (d * phi - 1) * v) / (d ** 3 - d)
     sq = SpinQuantum(n)
-    return _catalog_state("mixed", sq, sq, rho.astype(complex), "werner", n=n, phi=phi)
+    return _catalog_state("mixed", sq, sq, rho.astype(complex), "werner", n=n, phi=float(phi))
 
 
 def angular_momentum_eigenstate(n_a: int, n_b: int, j_total, k_total) -> BipartiteState:
@@ -226,7 +229,7 @@ def angular_momentum_eigenstate(n_a: int, n_b: int, j_total, k_total) -> Biparti
         raise ValidationError("state vanishes for these quantum numbers")
     return _catalog_state("pure", SpinQuantum(n_a), SpinQuantum(n_b),
                           _fix_global_phase(psi / norm), "angular_momentum_eigenstate",
-                          n_a=n_a, n_b=n_b, j=j_total, k=k_total)
+                          n_a=n_a, n_b=n_b, j=float(j_total), k=float(k_total))
 
 
 def singlet(two_s: int) -> BipartiteState:
@@ -280,6 +283,7 @@ class MultiQubitState:
 
     n: int
     amplitudes: np.ndarray
+    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.n > 14:
@@ -299,7 +303,7 @@ def ghz(n: int) -> MultiQubitState:
     amp = np.zeros(2 ** n, dtype=complex)
     amp[0] = 1 / np.sqrt(2)
     amp[-1] = 1j / np.sqrt(2)
-    return MultiQubitState(n, amp)
+    return MultiQubitState(n, amp, _record("ghz", n=n))
 
 
 @dataclass(frozen=True)
@@ -309,6 +313,7 @@ class SymmetricState:
 
     n_atoms: int
     amplitudes: np.ndarray
+    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.amplitudes.shape != (self.n_atoms + 1,):
@@ -325,7 +330,7 @@ def dicke(n_atoms: int, k: int) -> SymmetricState:
         raise CapacityError(f"collective dimension {n_atoms + 1} exceeds cap {DIM_CAP}")
     amp = np.zeros(n_atoms + 1, dtype=complex)
     amp[n_atoms - k] = 1.0  # index of M = k - N/2 in the M = N/2..-N/2 order
-    return SymmetricState(n_atoms, amp)
+    return SymmetricState(n_atoms, amp, _record("dicke", n=n_atoms, k=k))
 
 
 def random_pure_state(s_a: SpinQuantum, s_b: SpinQuantum, rng) -> BipartiteState:

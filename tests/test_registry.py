@@ -127,18 +127,59 @@ REPORT_SPECS = {
 }
 
 
+def _report(command: str, name: str):
+    """The report (or scan table) of REPORT_SPECS[command][name], as the CLI computes it."""
+    from bellkit.cli import _check
+
+    spec = REPORT_SPECS[command][name]
+    spec = dict(spec, functional={"name": name, "params": spec.get("params", {})})
+    if command == "optimize":
+        spec["search"] = _SEARCH
+    return _check(command, {k: v for k, v in spec.items() if k != "params"})()
+
+
 @pytest.mark.parametrize("command", list(REPORT_SPECS))
 def test_every_report_is_plain_json(command):
     # json.dumps refuses numpy bools, so every report carries plain
     # Python values and needs no conversion before it is written
-    from bellkit.cli import _check
-
     specs = REPORT_SPECS[command]
     assert set(specs) == {name for name, entry in FUNCTIONALS.items()
                           if getattr(entry, command.replace("-", "_")) is not None}
-    for name, spec in specs.items():
-        spec = dict(spec, functional={"name": name, "params": spec.get("params", {})})
-        if command == "optimize":
-            spec["search"] = _SEARCH
-        report = _check(command, {k: v for k, v in spec.items() if k != "params"})()
+    for name in specs:
+        report = _report(command, name)
         assert json.loads(json.dumps(report)) == report, name
+
+
+def test_every_report_states_its_state_record():
+    # one record rule: a report's state is its state's meta, which states._record writes for
+    # every catalog state, and a key has one type whichever path built the state
+    from bellkit import states
+    from bellkit.functionals import tura_value
+    from bellkit.spin import UnitVector
+    from test_cli_fuzz import STATES
+
+    assert {s["family"] for s in STATES} == set(FAMILIES)
+    built = [build_state(s["family"], s["params"]) for s in STATES]
+    direct = [states.singlet(2), states.angular_momentum_eigenstate(2, 2, 1, 0),
+              states.werner(1, -1), states.relative_phase(1, 0), states.dicke(4, 2),
+              states.ghz(3)]
+    pair = {"family": "cfrd_pair", "two_s": 1, "N_A": 1, "N_B": 1}
+    records = [st.meta for st in built + direct] + [pair]
+    for command in ("evaluate", "optimize"):
+        for name, spec in REPORT_SPECS[command].items():
+            if name in ("drummond", "cglmp_I"):  # no state: a large-J limit, and given tables
+                continue
+            state = spec.get("state") or {"family": "ghz", "params": spec["params"]}
+            want = pair if name == "cfrd_weights" else build_state(**state).meta
+            assert _report(command, name)["state"] == want, (command, name)
+            records.append(want)
+    assert _report("evaluate", "tura")["state"] == {"family": "dicke", "n": 4, "k": 2}
+    hand_made = states.SymmetricState(1, np.array([1.0, 0.0]))
+    assert tura_value(hand_made, UnitVector(0, 0, 1), UnitVector(1, 0, 0)).state_meta == {}
+    types = {}
+    for record in records:
+        for key, value in record.items():
+            for where in ((record["family"], key), key):
+                types.setdefault(where, set()).add(type(value))
+    # k names dicke's excitation count (int) and a coupled pair's magnetic number K (float)
+    assert {where: t for where, t in types.items() if len(t) > 1} == {"k": {int, float}}

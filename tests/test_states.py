@@ -445,7 +445,7 @@ CATALOG_META = [  # the fuzz test's bipartite states, built as the CLI builds th
      {"family": "angular_momentum_eigenstate", "n_a": 2, "n_b": 2, "j": 1.0, "k": 0.0,
       "N_A": 2, "N_B": 2}),
     ("singlet", {"two_s": 2}, {"family": "angular_momentum_eigenstate", "n_a": 2, "n_b": 2,
-                               "j": 0, "k": 0, "N_A": 2, "N_B": 2}),
+                               "j": 0.0, "k": 0.0, "N_A": 2, "N_B": 2}),
     ("rm_weighted", {"two_s": 1, "r": [1, 0.5]}, {"family": "rm_weighted", "two_s": 1,
                                                   "N_A": 1, "N_B": 1}),
     ("separable_mixture", {"components": [
