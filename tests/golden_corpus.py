@@ -31,30 +31,25 @@ GOLDEN = pathlib.Path(__file__).with_name("golden")
 REID_SETTINGS = {"theta": 0.1, "theta_star": 0.9, "phi": 0.4, "phi_star": 1.3}
 
 
-def _name(spec) -> str:
-    func = spec.get("functional") if isinstance(spec, dict) else None
+def _name(spec: dict) -> str:
+    func, state = spec.get("functional"), spec.get("state")
     name = func.get("name") if isinstance(func, dict) else func
-    state = spec.get("state") if isinstance(spec, dict) else None
     family = state.get("family") if isinstance(state, dict) else None
     return "-".join(str(x) for x in (name, family) if x is not None)
 
 
 def cases() -> dict:
     """Group name -> list of (case name, command, spec)."""
-    per_state = []
-    for state in STATES:
-        if FAMILIES[state["family"]].kind is not BipartiteState:
-            continue
-        for command, functional, extra in (
-                ("evaluate", "chsh", {"settings": CHSH_SETTINGS}),
-                ("evaluate", "reid", {"settings": REID_SETTINGS}),
-                ("evaluate", "cfrd", {}),
-                ("optimize", "reid", {"search": SEARCH})):
-            per_state.append({"state": state, "functional": {"name": functional}, **extra})
     groups = {
-        "base": list(BASE),
+        "base": BASE,
         "probes": [(command, spec) for _, command, spec in PROBES],
-        "states": [("optimize" if "search" in spec else "evaluate", spec) for spec in per_state],
+        "states": [(command, {"state": state, "functional": {"name": functional}, **extra})
+                   for state in STATES if FAMILIES[state["family"]].kind is BipartiteState
+                   for command, functional, extra in (
+                       ("evaluate", "chsh", {"settings": CHSH_SETTINGS}),
+                       ("evaluate", "reid", {"settings": REID_SETTINGS}),
+                       ("evaluate", "cfrd", {}),
+                       ("optimize", "reid", {"search": SEARCH}))],
     }
     return {group: [(f"{group}-{i:02d}-{command}-{_name(spec)}", command, spec)
                     for i, (command, spec) in enumerate(runs)]
