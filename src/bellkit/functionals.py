@@ -249,20 +249,29 @@ def chsh_value(state: BipartiteState, u1: UnitVector, u2: UnitVector,
 
 
 def chsh_problem(state: BipartiteState, coplanar: bool):
-    """Search problem of chsh_value over (u1, u2, v1, v2).  S is bilinear in the
-    directions: sum_ij coef[i, j] u_i^T T v_j = u^T (coef (x) T) v with u = (u_1, u_2)
-    and v = (v_1, v_2) flattened, one row per trial."""
+    """Search problem of chsh_value over Bob's (v1, v2), Alice's settings maximized in closed
+    form.  S = sum_i u_i^T w_i with w_i = T sum_j coef[i, j] v_j, so at fixed v the largest S is
+    sum_i |w_i|, at u_i = w_i / |w_i|, or z where w_i = 0 and its term is 0 for every u_i.
+    Coplanar settings read T's x-z rows, so each u_i stays in the x-z plane."""
     functional = generalized_chsh_functional(state.s_a.two_s, state.s_b.two_s)
     coef = np.zeros((2, 2))
     for term in functional.terms:
         coef[term.setting_a, term.setting_b] += term.coef
-    form, bound = np.kron(coef, spin_correlation_matrix(state)), functional.bound
+    t = spin_correlation_matrix(state) * (np.array([[1.0], [0.0], [1.0]]) if coplanar else 1.0)
+    form, bound = np.kron(coef.T, t.T), functional.bound
 
-    def objective(d):
-        uv = d.reshape(len(d), 12)
-        return np.abs(np.einsum("ki,ki->k", uv[:, :6] @ form, uv[:, 6:])) - bound
+    def alice(v):  # (k, 2, 3) directions (v_1, v_2) -> (k, 2, 3) rows (w_1, w_2)
+        return (v.reshape(len(v), 6) @ form).reshape(len(v), 2, 3)
 
-    return _over_vectors(4, coplanar, objective, lambda *vs: chsh_value(state, *vs))
+    def report(v1, v2):
+        # + 0.0 turns a coplanar w_y = -0.0 into 0.0
+        w = (alice(np.array([[_vec(v1), _vec(v2)]]))[0] + 0.0).tolist()
+        us = [UnitVector(*(x / n for x in wi)) if (n := math.hypot(*wi)) > 1e-300
+              else UnitVector(0.0, 0.0, 1.0) for wi in w]
+        return chsh_value(state, *us, v1, v2)
+
+    return _over_vectors(2, coplanar,
+                         lambda v: np.linalg.norm(alice(v), axis=2).sum(axis=1) - bound, report)
 
 
 def mermin_check(state: BipartiteState, a: UnitVector, b: UnitVector, c: UnitVector,

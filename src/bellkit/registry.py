@@ -203,7 +203,7 @@ def _drummond(state, settings, p):
     margin = drummond_margin(p["J"], p["theta"])
     return {"functional": "drummond", "value": margin, "bound": 0.0,
             "margin": margin, "violation": margin > VIOLATION_TOL,
-            "state": {"family": "drummond_limit", "J": p["J"], "theta": p["theta"]}}
+            "state": states._record("drummond_limit", J=p["J"], theta=p["theta"])}
 
 
 def _witness(w) -> dict:

@@ -10,7 +10,7 @@ no gradients are used.
 
 Every objective maps a (k, n) array of points to k values.  A sweep is
 scored in one call with the trials and counts of one point per call:
-about one call per seven evaluations on the CHSH benchmark workload.
+about one call per five or six evaluations on the CHSH benchmark workload.
 """
 
 from __future__ import annotations

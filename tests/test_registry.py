@@ -164,13 +164,14 @@ def test_every_report_states_its_state_record():
               states.werner(1, -1), states.relative_phase(1, 0), states.dicke(4, 2),
               states.ghz(3)]
     pair = {"family": "cfrd_pair", "two_s": 1, "N_A": 1, "N_B": 1}
+    limit = {"family": "drummond_limit", "J": 5, "theta": 0.1}
     records = [st.meta for st in built + direct] + [pair]
     for command in ("evaluate", "optimize"):
         for name, spec in REPORT_SPECS[command].items():
-            if name in ("drummond", "cglmp_I"):  # no state: a large-J limit, and given tables
+            if name == "cglmp_I":  # no state: given tables
                 continue
             state = spec.get("state") or {"family": "ghz", "params": spec["params"]}
-            want = pair if name == "cfrd_weights" else build_state(**state).meta
+            want = {"cfrd_weights": pair, "drummond": limit}.get(name) or build_state(**state).meta
             assert _report(command, name)["state"] == want, (command, name)
             records.append(want)
     assert _report("evaluate", "tura")["state"] == {"family": "dicke", "n": 4, "k": 2}

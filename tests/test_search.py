@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from bellkit.errors import CapacityError, DegenerateConditionError, ValidationError
-from bellkit.functionals import cfrd_margin, cfrd_weight_problem, reid_ratio
+from bellkit.functionals import (
+    cfrd_margin, cfrd_weight_problem, chsh_problem, chsh_value, reid_ratio,
+)
 from bellkit.registry import FAMILIES, FUNCTIONALS, build_state
-from bellkit.spin import SpinQuantum, build_spin_rep
+from bellkit.spin import SpinQuantum, UnitVector, build_spin_rep
 from bellkit.states import (
     BipartiteState, SymmetricState, angular_momentum_eigenstate, dicke, maximally_entangled,
     random_pure_state, relative_phase, rm_weighted, separable_mixture, singlet, werner,
@@ -195,6 +197,55 @@ def test_chsh_search_reaches_horodecki_maximum():
             rep = optimize_settings(st, "chsh", SearchConfig(seed=21, restarts=8,
                                                              coplanar=coplanar))
             assert abs(abs(rep.value) - want) < 1e-9, (st.meta, coplanar, rep.value, want)
+
+
+def test_chsh_objective_is_alices_closed_form_maximum():
+    # at fixed Bob settings the objective is the largest |S| - bound over Alice's settings
+    # (in the x-z plane when coplanar): at least |S| at 200 random u pairs, and |S| at the
+    # u's the report builds
+    rng = np.random.default_rng(31)
+    states = [random_pure_state(SpinQuantum(1), SpinQuantum(1), rng),
+              random_pure_state(SpinQuantum(2), SpinQuantum(1), rng),
+              random_pure_state(SpinQuantum(1), SpinQuantum(3), rng), werner(2, -0.7)]
+    for st in states:
+        for coplanar in (False, True):
+            ranges, objective, report = chsh_problem(st, coplanar)
+            for _ in range(2):
+                x = np.array([rng.uniform(lo, hi) for lo, hi in ranges])
+                got, rep = objective(x[None])[0], report(x)
+                assert abs(got - (abs(rep.value) - rep.bound)) <= 1e-12, (st.meta, coplanar)
+                u1, u2, v1, v2 = (UnitVector(*s) for s in rep.settings)
+                assert not coplanar or u1.uy == u2.uy == 0.0
+                for _ in range(200):
+                    u = rng.normal(size=(2, 3))
+                    u[:, 1] *= not coplanar
+                    u /= np.linalg.norm(u, axis=1, keepdims=True)
+                    s = chsh_value(st, UnitVector(*u[0]), UnitVector(*u[1]), v1, v2).value
+                    assert abs(s) - rep.bound <= got + 1e-12, (st.meta, coplanar)
+
+
+def test_chsh_search_where_alices_vector_vanishes():
+    # T = 0 on werner(2, 1/3) and T = diag(0, 0, 1/4) on |+1/2, +1/2>: where w_i = 0 the
+    # report takes u_i = z, and every search ends on unit settings at the Horodecki maximum
+    product = rm_weighted(SpinQuantum(1), [1, 0])
+    for st, want in ((werner(2, 1 / 3), 0.0), (product, 0.5)):
+        for coplanar in (False, True):
+            rep = optimize_settings(st, "chsh", SearchConfig(seed=4, restarts=2,
+                                                             coplanar=coplanar))
+            settings = [UnitVector(*s) for s in rep.settings]  # each checked for unit length
+            assert abs(rep.value - chsh_value(st, *settings).value) <= 1e-12
+            assert abs(rep.value - want) <= 1e-9, (st.meta, coplanar, rep.value)
+    # v_1 = v_2 makes w_2 = T (v_1 - v_2) exactly 0
+    for st in (werner(2, 1 / 3), product):
+        rep = chsh_problem(st, True)[2](np.array([0.4, 0.4]))
+        assert rep.settings[1] == [0.0, 0.0, 1.0]
+
+
+def test_reid_search_reaches_clauser_horne_optimum():
+    # spin 1/2: the Reid ratio is the Clauser-Horne ratio, whose optimum is (1 + sqrt 2)/2
+    for seed in (1, 2, 3):
+        rep = optimize_settings(maximally_entangled(1), "reid", SearchConfig(seed=seed))
+        assert abs(rep.value - (1 + math.sqrt(2)) / 2) <= 1e-9, (seed, rep.value)
 
 
 def test_mermin_search_refuses_unequal_spins():
