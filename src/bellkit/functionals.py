@@ -26,6 +26,8 @@ from .states import (
     MeasurementSetting,
     SymmetricState,
     _catalog_state,
+    _diagonal_sums,
+    _plus_bin_frame,
     as_matrix,
     binned_joint_probability,
     correlator,
@@ -447,17 +449,59 @@ def reid_fraction(joint, plus_theta_star, plus_phi) -> tuple:
     return np.where(degenerate, -math.inf, num / np.where(degenerate, 1.0, den)), num, den
 
 
+def _reid_difference_series(state: BipartiteState):
+    """(p, P(+)): P(+,+ | theta, phi) = sum_k p_k cos(2k (phi - theta)), P(+ | .) = |+|/d, on a
+    state that is maximally_entangled(n) or werner(n, phi), entry by entry, as its record says;
+    else None.  P(+,+) = c |+|^2 + b Tr(P+(theta) P+(phi)) on Werner's c 1 + b V (V the flip)
+    and on psi = 1/sqrt(d), P+ being real; Tr = sum_ij |H_ij|^2 cos(2 (phi - theta)(i - j))."""
+    d, family = state.s_a.dim, state.meta.get("family") if state.s_b == state.s_a else None
+    if family == "maximally_entangled" and state.kind == "pure":
+        (c, b), blocks = (0.0, 1.0 / d), [(state.psi, state.psi[0, 0] * np.eye(d))]
+    elif family == "werner" and state.kind == "mixed" and isinstance(state.meta.get("phi"), float):
+        phi, e, r = state.meta["phi"], np.eye(d), state.rho.reshape(d, d, d, d)
+        c, b = (d - phi) / (d ** 3 - d), (d * phi - 1) / (d ** 3 - d)
+        blocks = ((r[i], c * e[i, None, :, None] * e[:, None, :] + b * e[:, :, None] * e[i])
+                  for i in range(d))  # rho[(i, j), (k, l)] = c d_ik d_jl + b d_il d_jk
+    else:
+        return None
+    if not all(np.all(np.abs(got - want) <= 1e-12 * np.abs(want)) for got, want in blocks):
+        return None
+    plus = (d + 1) // 2  # |+|, the m >= 0 levels
+    series = b * _diagonal_sums(np.abs(_plus_bin_frame(state.s_a)[1]) ** 2)[d - 1:].real
+    series[1:] *= 2.0  # offsets +-k
+    series[0] += c * plus ** 2
+    return series, plus / d
+
+
 def reid_problem(state: BipartiteState, coplanar: bool):
     """Search problem of reid_ratio over (theta, theta*, phi, phi*); `coplanar` is moot, as
     every direction lies in the x-z plane.  Every P(+,+) and P(+|.) that reid_ratio reads is
     a trigonometric series in the angles: one compile, then per trial two phase rows per
     side, the 2x2 table and two dot products; reid_fraction scores a vanishing denominator
-    -inf."""
+    -inf.  On maximally_entangled and werner states P(+,+) is one O(d^3) series in phi - theta,
+    and restart 0 starts at (0, 2 alpha, alpha, 3 alpha), where 3 P(alpha) - P(3 alpha) peaks."""
     d_a, d_b = state.dims
     cost = (d_a * d_b) ** 2 * (1 if state.kind == "pure" else 10 * (d_a + d_b))
     if cost > REID_COMPILE_CAP:
         raise CapacityError(f"a reid search on dimensions {d_a} x {d_b} ({state.kind}) "
                             f"exceeds the compile cap")
+    if (reduced := _reid_difference_series(state)) is not None:
+        series, marginal = reduced
+        k = np.arange(len(series))
+
+        def objective(x):  # table[:, i, j] at (theta, theta*)[i], (phi, phi*)[j]
+            table = np.cos((x[:, None, 2:] - x[:, :2, None])[..., None] * (2.0 * k)) @ series
+            return reid_fraction(np.clip(table, 0.0, 1.0), marginal, marginal)[0] - 1.0
+
+        # 3 P(alpha) - P(3 alpha) = sum_m g_m cos(m t), t = 2 alpha, sampled 16x over 0 <= t <= pi
+        g = np.bincount(np.r_[k, 3 * k], np.r_[3.0 * series, -series])
+        m, n = np.arange(len(g)), 16 * len(g)
+        t = 2 * math.pi / n * np.argmax(np.fft.irfft(g, n)[:n // 2 + 1])
+        for _ in range(4):  # Newton steps, none where the curvature is not negative
+            slope, curve = -(m * g) @ np.sin(m * t), -(m * m * g) @ np.cos(m * t)
+            t -= slope / curve if curve < 0 else 0.0
+        objective.start = np.array([0.0, t, t / 2, 1.5 * t])
+        return [(0.0, math.pi)] * 4, objective, lambda x: reid_ratio(state, *x)
     joint, plus_a, plus_b = sign_bin_series(state)
     two_a, two_b = state.s_a.two_s, state.s_b.two_s
 

@@ -99,13 +99,14 @@ def pattern_search_max(objective, x0: np.ndarray, step: float,
 
 
 def multi_start_max(objective, ranges, config: SearchConfig):
-    """Best-of pattern search over seed-derived random starts.  The
-    per-restart substream is keyed (seed, restart index), so the result
-    does not depend on evaluation scheduling."""
+    """Best-of pattern search over seed-derived random starts (restart 0 at
+    `objective.start` where a problem sets one).  The per-restart substream is
+    keyed (seed, restart index), so the result does not depend on evaluation scheduling."""
     best_x, best_f = None, -math.inf
+    start = getattr(objective, "start", None)
     for k in range(config.restarts):
         rng = np.random.default_rng([config.seed, k])
-        x0 = np.array([rng.uniform(lo, hi) for lo, hi in ranges])
+        x0 = np.array([rng.uniform(lo, hi) for lo, hi in ranges]) if k or start is None else start
         x, f, _ = pattern_search_max(objective, x0, config.initial_step,
                                      config.tolerance, config.max_evals_per_restart)
         if f > best_f:

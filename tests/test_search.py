@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,10 +9,11 @@ from bellkit.functionals import (
     cfrd_margin, cfrd_weight_problem, chsh_problem, chsh_value, reid_ratio,
 )
 from bellkit.registry import FAMILIES, FUNCTIONALS, build_state
-from bellkit.spin import SpinQuantum, UnitVector, build_spin_rep
+from bellkit.spin import SpinQuantum, UnitVector, build_spin_rep, spin_component
 from bellkit.states import (
-    BipartiteState, SymmetricState, angular_momentum_eigenstate, dicke, maximally_entangled,
-    random_pure_state, relative_phase, rm_weighted, separable_mixture, singlet, werner,
+    BipartiteState, SymmetricState, angular_momentum_eigenstate, conditioned_state, dicke,
+    maximally_entangled, random_pure_state, relative_phase, rm_weighted, separable_mixture,
+    singlet, werner,
 )
 from bellkit.search import (
     ScanSpec,
@@ -372,7 +374,8 @@ def test_reid_search_propagates_real_errors(monkeypatch):
 _REID_FAMILY_PARAMS = {
     "maximally_entangled": [{"n": 1}, {"n": 4}, {"n": 21}],
     "relative_phase": [{"n": 3, "theta": 0.7}],
-    "werner": [{"n": 1, "phi": -0.6}, {"n": 2, "phi": 1.0}, {"n": 6, "phi": 0.3}],
+    "werner": [{"n": 1, "phi": -0.6}, {"n": 2, "phi": 1.0}, {"n": 6, "phi": 0.3},
+               {"n": 6, "phi": -0.5}],
     "angular_momentum_eigenstate": [{"n_a": 2, "n_b": 3, "j": 1.5, "k": 0.5},
                                     {"n_a": 4, "n_b": 1, "j": 1.5, "k": -0.5}],
     "singlet": [{"two_s": 1}, {"two_s": 3}],
@@ -431,12 +434,74 @@ def test_reid_search_calls_reid_ratio_once_at_the_optimum(monkeypatch):
 
 
 def test_reid_search_macroscopic_spin():
-    # N = 200: the compiled search reaches a violation in about a second,
-    # and the ratio at its angles matches the dense eigh oracle
+    # N = 200: restart 0 starts at the optimum of the symmetric cut, 1.657e-3 above 1, and
+    # the ratio at the reported angles matches the dense eigh oracle
     rep = optimize_settings(maximally_entangled(200), "reid",
                             SearchConfig(seed=11, restarts=2, max_evals_per_restart=500))
-    assert rep.value > 1.0 + 1e-6
+    assert rep.value >= 1.0 + 1.657e-3
     assert abs(rep.value - dense_reid_ratio_maximally_entangled(200, rep.settings)) <= 1e-12
+
+
+# ratio - 1 of maximally_entangled(N) at the optimum of the symmetric cut, one restart
+# of 40 evaluations; N = 1 is the Clauser-Horne optimum (sqrt 2 - 1)/2
+_REID_CUT_TABLE = {1: 0.2071068, 2: 9.0575825e-2, 3: 8.736178e-2, 20: 1.523786e-2,
+                   200: 1.6571278e-3}
+
+
+def test_reid_search_macroscopic_table():
+    for n, want in _REID_CUT_TABLE.items():
+        rep = optimize_settings(maximally_entangled(n), "reid",
+                                SearchConfig(seed=1, restarts=1, max_evals_per_restart=40))
+        assert abs(rep.margin - want) <= 1e-7 * want, (n, rep.margin)
+        assert abs(rep.value - dense_reid_ratio_maximally_entangled(n, rep.settings)) <= 1e-12
+        if n == 1:
+            assert abs(rep.margin - (math.sqrt(2) - 1) / 2) <= 1e-12
+
+
+def _spy_on_the_generic_compile(monkeypatch):
+    import bellkit.functionals
+
+    calls, compile_series = [], bellkit.functionals.sign_bin_series
+    monkeypatch.setattr(bellkit.functionals, "sign_bin_series",
+                        lambda state: calls.append(state) or compile_series(state))
+    return calls
+
+
+def test_reid_difference_series_only_on_the_states_themselves(monkeypatch):
+    # a record naming maximally_entangled or werner is not enough: a conditioned state keeps
+    # its family's record, and a hand-built state can copy one; both take the generic path
+    # and give exactly the generic search's value
+    calls = _spy_on_the_generic_compile(monkeypatch)
+    config = SearchConfig(seed=3, restarts=2, max_evals_per_restart=200)
+    up = spin_component(build_spin_rep(SpinQuantum(2)), UnitVector(0.0, 0.0, 1.0))
+    conditioned = conditioned_state(maximally_entangled(2), up, 1.0)
+    assert conditioned.meta["family"] == "maximally_entangled"
+    copied = BipartiteState("mixed", SpinQuantum(2), SpinQuantum(2), rho=werner(2, 0.3).rho,
+                            meta=werner(2, -0.5).meta)
+    for st in (conditioned, copied):
+        calls.clear()
+        value = optimize_settings(st, "reid", config).value
+        assert len(calls) == 1, st.meta
+        assert value == optimize_settings(dataclasses.replace(st, meta={}), "reid", config).value
+    calls.clear()
+    for st in (maximally_entangled(2), werner(2, -0.5), werner(2, 0.3)):
+        optimize_settings(st, "reid", config)
+    assert calls == []
+
+
+def test_reid_difference_series_search_reaches_the_generic_search(monkeypatch):
+    # the reduced search, restart 0 at the cut, ends no lower than the generic search on a
+    # record-less copy of the same state, at the same seed and budget
+    calls = _spy_on_the_generic_compile(monkeypatch)
+    config = SearchConfig(seed=5, restarts=2, max_evals_per_restart=400)
+    states = [werner(n, phi) for n in range(1, 7) for phi in (-1.0, -0.5, 0.0, 0.1, 0.6, 1.0)]
+    for st in states + [maximally_entangled(n) for n in (1, 2, 3, 6, 10, 20)]:
+        reduced = optimize_settings(st, "reid", config).value
+        assert calls == []
+        generic = optimize_settings(dataclasses.replace(st, meta={}), "reid", config).value
+        assert len(calls) == 1, st.meta
+        calls.clear()
+        assert reduced >= generic - 1e-9, (st.meta, reduced, generic)
 
 
 def test_reid_search_refused_above_the_compile_cap(monkeypatch):
