@@ -450,27 +450,27 @@ def reid_fraction(joint, plus_theta_star, plus_phi) -> tuple:
 
 
 def _reid_difference_series(state: BipartiteState):
-    """(p, P(+)): P(+,+ | theta, phi) = sum_k p_k cos(2k (phi - theta)), P(+ | .) = |+|/d, on a
-    state that is maximally_entangled(n) or werner(n, phi), entry by entry, as its record says;
-    else None.  P(+,+) = c |+|^2 + b Tr(P+(theta) P+(phi)) on Werner's c 1 + b V (V the flip)
-    and on psi = 1/sqrt(d), P+ being real; Tr = sum_ij |H_ij|^2 cos(2 (phi - theta)(i - j))."""
-    d, family = state.s_a.dim, state.meta.get("family") if state.s_b == state.s_a else None
-    if family == "maximally_entangled" and state.kind == "pure":
-        (c, b), blocks = (0.0, 1.0 / d), [(state.psi, state.psi[0, 0] * np.eye(d))]
-    elif family == "werner" and state.kind == "mixed" and isinstance(state.meta.get("phi"), float):
-        phi, e, r = state.meta["phi"], np.eye(d), state.rho.reshape(d, d, d, d)
-        c, b = (d - phi) / (d ** 3 - d), (d * phi - 1) / (d ** 3 - d)
-        blocks = ((r[i], c * e[i, None, :, None] * e[:, None, :] + b * e[:, :, None] * e[i])
-                  for i in range(d))  # rho[(i, j), (k, l)] = c d_ik d_jl + b d_il d_jk
-    else:
-        return None
-    if not all(np.all(np.abs(got - want) <= 1e-12 * np.abs(want)) for got, want in blocks):
-        return None
-    plus = (d + 1) // 2  # |+|, the m >= 0 levels
-    series = b * _diagonal_sums(np.abs(_plus_bin_frame(state.s_a)[1]) ** 2)[d - 1:].real
-    series[1:] *= 2.0  # offsets +-k
-    series[0] += c * plus ** 2
-    return series, plus / d
+    """(p, P(+ | theta*), P(+ | phi)) with P(+,+ | theta, phi) = sum_k p_k cos(2k (phi - theta)), on
+    a state that the joint turns exp(-ia J) about y, J = S_y^A + S_y^B, leave as it is; else None.
+    Turned by -2 theta, P(+,+) = Tr(sigma P+(phi - theta)), sigma = Tr_A[(D (x) 1) rho] and D the
+    m >= 0 projector; None too where the series has a sine part, which the objective cannot read."""
+    sy_a, sy_b = (build_spin_rep(s).sy for s in (state.s_a, state.s_b))
+    (d_a, d_b), half = state.dims, state.s_a.two_s // 2 + 1  # the m >= 0 levels of A
+    if state.kind == "pure":  # J psi = <J> psi
+        psi, turn = state.psi, sy_a @ state.psi + state.psi @ sy_b.T
+        residual = np.abs(turn - np.vdot(psi, turn) * psi).max()
+        sigma = psi[:half].T @ psi[:half].conj()
+    else:  # [J, rho] = J rho - (J rho)^dagger = 0
+        turn = (sy_a @ state.rho.reshape(d_a, -1)).reshape(state.rho.shape)
+        turn += (sy_b @ state.rho.reshape(d_a, d_b, -1)).reshape(state.rho.shape)
+        residual = max(np.abs(turn.real - turn.real.T).max(), np.abs(turn.imag + turn.imag.T).max())
+        sigma = np.einsum("ijil->jl", state.rho.reshape(d_a, d_b, d_a, d_b)[:half, :, :half])
+    v, h = _plus_bin_frame(state.s_b)  # the turn is a phase on (V^dagger sigma V)^T o H
+    series = _diagonal_sums((v.conj().T @ sigma @ v).T * h)[d_b - 1:] * (2 - (np.arange(d_b) == 0))
+    if max(residual, np.abs(series.imag).max()) > 1e-12 * (state.s_a.s + state.s_b.s):  # |J|
+        return None  # offsets k > 0 above count -k too: the imaginary parts are the sine part
+    return (series.real.copy(), sigma.trace().real,  # P(+|theta*) = Tr sigma, P(+|phi) = Tr D rho_B
+            state.reduced("B").diagonal()[:(d_b + 1) // 2].sum().real)
 
 
 def reid_problem(state: BipartiteState, coplanar: bool):
@@ -478,20 +478,20 @@ def reid_problem(state: BipartiteState, coplanar: bool):
     every direction lies in the x-z plane.  Every P(+,+) and P(+|.) that reid_ratio reads is
     a trigonometric series in the angles: one compile, then per trial two phase rows per
     side, the 2x2 table and two dot products; reid_fraction scores a vanishing denominator
-    -inf.  On maximally_entangled and werner states P(+,+) is one O(d^3) series in phi - theta,
-    and restart 0 starts at (0, 2 alpha, alpha, 3 alpha), where 3 P(alpha) - P(3 alpha) peaks."""
+    -inf.  Where joint turns about y leave the state as it is, P(+,+) is one series in
+    phi - theta, and restart 0 starts on the cut (0, 2a, a, 3a) where 3 P(a) - P(3a) peaks."""
     d_a, d_b = state.dims
     cost = (d_a * d_b) ** 2 * (1 if state.kind == "pure" else 10 * (d_a + d_b))
     if cost > REID_COMPILE_CAP:
         raise CapacityError(f"a reid search on dimensions {d_a} x {d_b} ({state.kind}) "
                             f"exceeds the compile cap")
     if (reduced := _reid_difference_series(state)) is not None:
-        series, marginal = reduced
+        series, plus_a, plus_b = reduced
         k = np.arange(len(series))
 
         def objective(x):  # table[:, i, j] at (theta, theta*)[i], (phi, phi*)[j]
             table = np.cos((x[:, None, 2:] - x[:, :2, None])[..., None] * (2.0 * k)) @ series
-            return reid_fraction(np.clip(table, 0.0, 1.0), marginal, marginal)[0] - 1.0
+            return reid_fraction(np.clip(table, 0.0, 1.0), plus_a, plus_b)[0] - 1.0
 
         # 3 P(alpha) - P(3 alpha) = sum_m g_m cos(m t), t = 2 alpha, sampled 16x over 0 <= t <= pi
         g = np.bincount(np.r_[k, 3 * k], np.r_[3.0 * series, -series])

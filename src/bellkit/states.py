@@ -51,15 +51,19 @@ class MeasurementSetting:
 
 
 def _check_density(m: np.ndarray, name: str):
-    """Refuse a matrix that is not a density matrix: Hermitian, trace 1
-    and positive semidefinite, each to 1e-10 ("not <=" refuses NaN too)."""
+    """Refuse a matrix that is not a density matrix: Hermitian and trace 1 to 1e-10 ("not <="
+    refuses NaN too), lambda_min > -1e-10 up to D eps |m|: m + 1e-10 1 has a Cholesky factor."""
     if not np.max(np.abs(m - m.conj().T)) <= 1e-10:
         raise ValidationError(f"{name} not Hermitian")
     tr = float(np.real(np.trace(m)))
     if not abs(tr - 1.0) <= 1e-10:
         raise ValidationError(f"{name} trace {tr} != 1")
-    if float(np.min(np.linalg.eigvalsh(m))) < -1e-10:
-        raise ValidationError(f"{name} not positive semidefinite")
+    shifted = m.astype(complex)  # a copy
+    shifted.flat[::len(m) + 1] += 1e-10
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        raise ValidationError(f"{name} not positive semidefinite") from None
 
 
 def _fix_global_phase(array: np.ndarray) -> np.ndarray:
@@ -200,10 +204,10 @@ def werner(n: int, phi: float) -> BipartiteState:
         raise ValidationError("n must be >= 1")
     d = n + 1
     _check_dims("mixed", d, d)
-    v = flip_operator(d)
-    rho = ((d - phi) * np.eye(d * d) + (d * phi - 1) * v) / (d ** 3 - d)
+    rho = (((d - phi) * np.eye(d * d) + (d * phi - 1) * flip_operator(d))
+           / (d ** 3 - d)).astype(complex)  # one expression: no float temporary outlives it
     sq = SpinQuantum(n)
-    return _catalog_state("mixed", sq, sq, rho.astype(complex), "werner", n=n, phi=float(phi))
+    return _catalog_state("mixed", sq, sq, rho, "werner", n=n, phi=float(phi))
 
 
 def angular_momentum_eigenstate(n_a: int, n_b: int, j_total, k_total) -> BipartiteState:

@@ -186,3 +186,47 @@ def test_threads_flag_does_not_change_results(tmp_path):
 def test_selftest():
     assert selftest() is True
     assert run(["selftest"]) == EXIT_OK
+
+
+_SCAN_OPTIMIZE = {"state": {"family": "werner", "params": {"n": 1, "phi": 0.0}},
+                  "functional": {"name": "chsh"}, "settings": "optimize",
+                  "scan": {"parameter": "phi", "grid": [-0.5, 0.5]}}
+_MERMIN_GEOMETRY = {"state": {"family": "singlet", "params": {"two_s": 2}},
+                    "functional": {"name": "mermin"}, "settings": "optimize", "search": {"seed": 1},
+                    "scan": {"parameter": "theta_geometry", "grid": [0.1, 0.2]}}
+_CGLMP_TABLES = [[[0.5, 0.0], [0.0, 0.5]]] * 3 + [[[0.6, -0.1], [0.0, 0.5]]]
+
+
+@pytest.mark.parametrize("command, spec, argv, code, message", [
+    ("scan", CHSH_EVAL_SPEC, [], EXIT_BAD_SPEC, "scan specs need a scan block"),
+    ("evaluate", CHSH_EVAL_SPEC, ["--format", "csv"], EXIT_BAD_SPEC, "csv output needs a scan table"),
+    ("scan", dict(_SCAN_OPTIMIZE, search={"seed": 1},
+                  scan={"parameter": "phi", "grid": {"start": -1.0, "stop": 1.0, "count": 100001}}),
+     [], EXIT_CAPACITY, "100001 grid points exceed the 100000 cap"),
+    ("scan", _MERMIN_GEOMETRY, [], EXIT_BAD_SPEC, "a theta_geometry scan takes no settings search"),
+    ("scan", _SCAN_OPTIMIZE, [], EXIT_BAD_SPEC, "per-point optimization needs a SearchConfig"),
+    ("evaluate", {"state": {"family": "maximally_entangled", "params": {"n": 1}},
+                  "functional": {"name": "reid"},
+                  "settings": {"theta": 1e308, "theta_star": 0.0, "phi": 0.0, "phi_star": 0.0}},
+     [], EXIT_BAD_SPEC, "angle 1e+308 is out of range"),
+    ("evaluate", {"functional": {"name": "cglmp_I", "params": {"tables": _CGLMP_TABLES, "d": 2}}},
+     [], EXIT_BAD_SPEC, "negative probabilities in table"),
+])
+def test_front_door_refusals(tmp_path, capsys, command, spec, argv, code, message):
+    # each exit code comes from the check named in its message, and nothing is written
+    path, out = write_spec(tmp_path, "s.json", spec), tmp_path / "out"
+    assert run([command, "--spec", path, "--out", str(out), *argv]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_without_out_writes_the_envelope_to_stdout(tmp_path, capsys):
+    path = write_spec(tmp_path, "s.json", CHSH_EVAL_SPEC)
+    assert run(["evaluate", "--spec", path]) == EXIT_OK
+    captured = capsys.readouterr()
+    env = json.loads(captured.out)
+    assert (env["tool"], env["command"], env["spec"]["state"]) == (
+        "bellkit", "evaluate", CHSH_EVAL_SPEC["state"])
+    assert abs(abs(env["report"]["value"]) - 0.707106781187) < 1e-9
+    assert captured.out == json.dumps(env, sort_keys=True, indent=2) + "\n"
+    assert captured.err.startswith("chsh: value=")

@@ -467,41 +467,80 @@ def _spy_on_the_generic_compile(monkeypatch):
     return calls
 
 
+def test_reid_search_singlet_table(monkeypatch):
+    # singlet(N) shares maximally_entangled(N)'s turn symmetry and is locally equivalent to it,
+    # so its search reaches the same cut optimum, without the general compile
+    calls = _spy_on_the_generic_compile(monkeypatch)
+    for n, want in _REID_CUT_TABLE.items():
+        rep = optimize_settings(singlet(n), "reid",
+                                SearchConfig(seed=1, restarts=1, max_evals_per_restart=40))
+        assert abs(rep.margin - want) <= 1e-7 * want, (n, rep.margin)
+    assert calls == []
+
+
 def test_reid_difference_series_only_on_the_states_themselves(monkeypatch):
-    # a record naming maximally_entangled or werner is not enough: a conditioned state keeps
-    # its family's record, and a hand-built state can copy one; both take the generic path
-    # and give exactly the generic search's value
+    # the path follows the state, never its record: a conditioned state keeps its family's
+    # record and takes the general path, and a state under another state's record gives
+    # exactly the value of its record-less copy
     calls = _spy_on_the_generic_compile(monkeypatch)
     config = SearchConfig(seed=3, restarts=2, max_evals_per_restart=200)
     up = spin_component(build_spin_rep(SpinQuantum(2)), UnitVector(0.0, 0.0, 1.0))
     conditioned = conditioned_state(maximally_entangled(2), up, 1.0)
     assert conditioned.meta["family"] == "maximally_entangled"
+    value = optimize_settings(conditioned, "reid", config).value
+    assert len(calls) == 1
+    assert value == optimize_settings(dataclasses.replace(conditioned, meta={}), "reid",
+                                      config).value
+    calls.clear()
     copied = BipartiteState("mixed", SpinQuantum(2), SpinQuantum(2), rho=werner(2, 0.3).rho,
                             meta=werner(2, -0.5).meta)
-    for st in (conditioned, copied):
-        calls.clear()
-        value = optimize_settings(st, "reid", config).value
-        assert len(calls) == 1, st.meta
-        assert value == optimize_settings(dataclasses.replace(st, meta={}), "reid", config).value
-    calls.clear()
+    value = optimize_settings(copied, "reid", config).value
+    assert value == optimize_settings(dataclasses.replace(copied, meta={}), "reid", config).value
     for st in (maximally_entangled(2), werner(2, -0.5), werner(2, 0.3)):
         optimize_settings(st, "reid", config)
     assert calls == []
 
 
 def test_reid_difference_series_search_reaches_the_generic_search(monkeypatch):
-    # the reduced search, restart 0 at the cut, ends no lower than the generic search on a
-    # record-less copy of the same state, at the same seed and budget
+    # the reduced search, restart 0 at the cut, ends no lower than the general search on the
+    # same state, at the same seed and budget
+    import bellkit.functionals
+
     calls = _spy_on_the_generic_compile(monkeypatch)
     config = SearchConfig(seed=5, restarts=2, max_evals_per_restart=400)
     states = [werner(n, phi) for n in range(1, 7) for phi in (-1.0, -0.5, 0.0, 0.1, 0.6, 1.0)]
-    for st in states + [maximally_entangled(n) for n in (1, 2, 3, 6, 10, 20)]:
+    states += [maximally_entangled(n) for n in (1, 2, 3, 6, 10, 20)]
+    states += [singlet(n) for n in (1, 2, 3)]
+    states += [angular_momentum_eigenstate(n, n, 0, 0) for n in (6, 10, 20)]
+    for st in states:
         reduced = optimize_settings(st, "reid", config).value
         assert calls == []
-        generic = optimize_settings(dataclasses.replace(st, meta={}), "reid", config).value
+        with monkeypatch.context() as patch:
+            patch.setattr(bellkit.functionals, "_reid_difference_series", lambda state: None)
+            generic = optimize_settings(st, "reid", config).value
         assert len(calls) == 1, st.meta
         calls.clear()
         assert reduced >= generic - 1e-9, (st.meta, reduced, generic)
+
+
+def test_reid_difference_series_on_hand_built_invariant_states(monkeypatch):
+    # two eigenvectors of J = S_y^A + S_y^B, which the joint turns about y leave as they are:
+    # |y+1>|y0>, with marginals P(+|theta*) = 3/4 and P(+|phi) = 1/2, takes the difference
+    # series; |y+1>|y0> + 0.3i |y0>|y+1> has a sine part in phi - theta, which the cosine
+    # objective cannot read, and takes the general path; each scores as reid_ratio does
+    calls = _spy_on_the_generic_compile(monkeypatch)
+    rep = build_spin_rep(SpinQuantum(2))
+    v = rep.rotation_basis[1]  # the S_y eigenvectors of eigenvalues -1, 0, 1
+    xs = np.random.default_rng(6).uniform(0.0, math.pi, (50, 4))
+    for weight, compiles in ((0.0, 0), (0.3j, 1)):
+        psi = np.outer(v[:, 2], v[:, 1]) + weight * np.outer(v[:, 1], v[:, 2])
+        st = BipartiteState("pure", SpinQuantum(2), SpinQuantum(2), psi=psi / np.linalg.norm(psi))
+        assert np.abs(rep.sy @ st.psi + st.psi @ rep.sy.T - st.psi).max() <= 1e-15
+        calls.clear()
+        objective = FUNCTIONALS["reid"].optimize(st, False)[1]
+        assert len(calls) == compiles
+        for x, got in zip(xs, objective(xs)):
+            assert abs(got - reid_ratio(st, *x).margin) <= 1e-12, (weight, x, got)
 
 
 def test_reid_search_refused_above_the_compile_cap(monkeypatch):

@@ -376,6 +376,31 @@ HALF = np.eye(2) / 2
 UP = np.diag([1.0, 0.0])
 
 
+def _smallest_eigenvalue_at(low, d, rng):
+    """A Hermitian, trace-1 d x d matrix in a random basis whose smallest eigenvalue is low."""
+    levels = np.r_[low, rng.uniform(0.5, 1.0, d - 1)]
+    levels[1:] *= (1.0 - low) / levels[1:].sum()
+    q = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    m = (q * levels) @ q.conj().T
+    return (m + m.conj().T) / 2
+
+
+def test_positive_semidefinite_boundary():
+    # lambda_min > -1e-10 is the rule, for a mixed state and for a factor of a mixture alike
+    rng = np.random.default_rng(19)
+    for low, refused in ((-2e-10, True), (-5e-11, False)):
+        rho, factor = _smallest_eigenvalue_at(low, 4, rng), _smallest_eigenvalue_at(low, 2, rng)
+        for m in (rho, factor):
+            assert abs(np.linalg.eigvalsh(m)[0] - low) <= 1e-15 and abs(np.trace(m) - 1) <= 1e-15
+        for make, name in ((lambda: BipartiteState("mixed", S1, S1, rho=rho), "density matrix"),
+                           (lambda: separable_mixture([(1.0, HALF, factor)]), "factor B")):
+            if refused:
+                with pytest.raises(ValidationError, match=f"{name} not positive semidefinite"):
+                    make()
+            else:
+                make()
+
+
 def _conditioned_on_impossible_outcome():
     st = separable_mixture([(1.0, UP, HALF)])  # A is spin up
     oa = spin_component(build_spin_rep(S1), UnitVector(0.0, 0.0, 1.0))
