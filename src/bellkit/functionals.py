@@ -254,12 +254,15 @@ def chsh_problem(state: BipartiteState, coplanar: bool):
     """Search problem of chsh_value over Bob's (v1, v2), Alice's settings maximized in closed
     form.  S = sum_i u_i^T w_i with w_i = T sum_j coef[i, j] v_j, so at fixed v the largest S is
     sum_i |w_i|, at u_i = w_i / |w_i|, or z where w_i = 0 and its term is 0 for every u_i.
-    Coplanar settings read T's x-z rows, so each u_i stays in the x-z plane."""
+    Coplanar settings read T's x-z block, so each u_i stays in the x-z plane.  No objective
+    value exceeds objective.ceiling = 2 sqrt(s1^2 + s2^2) - bound, from the two largest singular
+    values of that T (Horodecki, Phys. Lett. A 200, 340 (1995))."""
     functional = generalized_chsh_functional(state.s_a.two_s, state.s_b.two_s)
     coef = np.zeros((2, 2))
     for term in functional.terms:
         coef[term.setting_a, term.setting_b] += term.coef
-    t = spin_correlation_matrix(state) * (np.array([[1.0], [0.0], [1.0]]) if coplanar else 1.0)
+    xz = np.array([1.0, 0.0, 1.0])
+    t = spin_correlation_matrix(state) * (np.outer(xz, xz) if coplanar else 1.0)
     form, bound = np.kron(coef.T, t.T), functional.bound
 
     def alice(v):  # (k, 2, 3) directions (v_1, v_2) -> (k, 2, 3) rows (w_1, w_2)
@@ -272,8 +275,11 @@ def chsh_problem(state: BipartiteState, coplanar: bool):
               else UnitVector(0.0, 0.0, 1.0) for wi in w]
         return chsh_value(state, *us, v1, v2)
 
-    return _over_vectors(2, coplanar,
-                         lambda v: np.linalg.norm(alice(v), axis=2).sum(axis=1) - bound, report)
+    problem = _over_vectors(2, coplanar,
+                            lambda v: np.linalg.norm(alice(v), axis=2).sum(axis=1) - bound, report)
+    problem[1].ceiling = 2.0 * math.hypot(*np.linalg.svd(t, compute_uv=False)[:2]) - bound
+    problem[1].bound = bound
+    return problem
 
 
 def mermin_check(state: BipartiteState, a: UnitVector, b: UnitVector, c: UnitVector,

@@ -10,7 +10,8 @@ no gradients are used.
 
 Every objective maps a (k, n) array of points to k values.  A sweep is
 scored in one call with the trials and counts of one point per call:
-about one call per five or six evaluations on the CHSH benchmark workload.
+about one call per 5.6 evaluations on the CHSH benchmark workload (1 866 calls
+for 10 409 evaluations in one pass at seed 1).
 """
 
 from __future__ import annotations
@@ -101,9 +102,16 @@ def pattern_search_max(objective, x0: np.ndarray, step: float,
 def multi_start_max(objective, ranges, config: SearchConfig):
     """Best-of pattern search over seed-derived random starts (restart 0 at
     `objective.start` where a problem sets one).  The per-restart substream is
-    keyed (seed, restart index), so the result does not depend on evaluation scheduling."""
+    keyed (seed, restart index), so the result does not depend on evaluation scheduling.
+    Where a problem sets `objective.ceiling`, a proven largest value, and `objective.bound`,
+    the constant it subtracts (the CHSH problem does), the restarts stop once the best is
+    within 1e-12 max(1, ceiling + bound) of the ceiling: far above rounding, far below
+    VIOLATION_TOL, and no later restart could beat it by more."""
     best_x, best_f = None, -math.inf
     start = getattr(objective, "start", None)
+    stop = getattr(objective, "ceiling", math.inf)
+    if stop < math.inf:  # the ceiling less its slack
+        stop -= 1e-12 * max(1.0, stop + objective.bound)
     for k in range(config.restarts):
         rng = np.random.default_rng([config.seed, k])
         x0 = np.array([rng.uniform(lo, hi) for lo, hi in ranges]) if k or start is None else start
@@ -111,6 +119,8 @@ def multi_start_max(objective, ranges, config: SearchConfig):
                                      config.tolerance, config.max_evals_per_restart)
         if f > best_f:
             best_x, best_f = x, f
+        if best_f >= stop:
+            break
     return best_x, best_f
 
 

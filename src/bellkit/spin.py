@@ -178,8 +178,10 @@ class HermitianObservable:
 
     @property
     def outcome_spectrum(self) -> np.ndarray:
-        """Distinct eigenvalues, ascending."""
-        return np.unique(self.levels)
+        """Distinct eigenvalues, ascending.  `levels` is ascending already, so these are its
+        entries that differ from their predecessor (np.unique would import numpy.ma)."""
+        levels = self.levels
+        return levels[np.concatenate(([True], levels[1:] != levels[:-1]))]
 
     @property
     def outcome_masks(self) -> np.ndarray:

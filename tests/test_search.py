@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from bellkit import search
 from bellkit.errors import CapacityError, DegenerateConditionError, ValidationError
 from bellkit.functionals import (
     cfrd_margin, cfrd_weight_problem, chsh_problem, chsh_value, reid_ratio,
@@ -199,6 +200,76 @@ def test_chsh_search_reaches_horodecki_maximum():
             rep = optimize_settings(st, "chsh", SearchConfig(seed=21, restarts=8,
                                                              coplanar=coplanar))
             assert abs(abs(rep.value) - want) < 1e-9, (st.meta, coplanar, rep.value, want)
+
+
+def test_chsh_ceiling_is_the_horodecki_maximum():
+    # the problem's ceiling + bound is 2 sqrt(s1^2 + s2^2) of the dense T (its x-z block
+    # when coplanar)
+    rng = np.random.default_rng(12)
+    states = [singlet(1), maximally_entangled(1), maximally_entangled(2),
+              maximally_entangled(3), werner(2, -0.5),
+              random_pure_state(SpinQuantum(1), SpinQuantum(2), rng),
+              random_pure_state(SpinQuantum(2), SpinQuantum(2), rng)]
+    for st in states:
+        t = _dense_correlation_matrix(st)
+        for coplanar, block in ((False, t), (True, t[np.ix_([0, 2], [0, 2])])):
+            sigma = np.linalg.svd(block, compute_uv=False)
+            want = 2.0 * math.hypot(sigma[0], sigma[1])
+            objective = chsh_problem(st, coplanar)[1]
+            assert abs(objective.ceiling + objective.bound - want) <= 1e-12, (st.meta, coplanar)
+
+
+def test_chsh_objective_never_exceeds_its_ceiling():
+    rng = np.random.default_rng(44)
+    states = [random_pure_state(SpinQuantum(a), SpinQuantum(b), rng)
+              for a in (1, 2, 3, 4) for b in (1, 2, 3, 4)]
+    for st in [*states, werner(2, -0.8), werner(3, 0.6)]:
+        for coplanar in (False, True):
+            ranges, objective, _ = chsh_problem(st, coplanar)
+            x = np.column_stack([rng.uniform(lo, hi, size=500) for lo, hi in ranges])
+            assert objective(x).max() <= objective.ceiling + 1e-12, (st.meta, coplanar)
+
+
+def _count_pattern_searches(monkeypatch):
+    evals = []
+
+    def counting(*args):
+        result = pattern_search_max(*args)
+        evals.append(result[2])
+        return result
+
+    monkeypatch.setattr(search, "pattern_search_max", counting)
+    return evals
+
+
+def test_chsh_restarts_stop_at_the_ceiling(monkeypatch):
+    evals = _count_pattern_searches(monkeypatch)
+    rep = optimize_settings(maximally_entangled(2), "chsh", SearchConfig(seed=5, restarts=8))
+    assert len(evals) == 1
+    sigma = np.linalg.svd(_dense_correlation_matrix(maximally_entangled(2)), compute_uv=False)
+    assert abs(abs(rep.value) - 2.0 * math.hypot(sigma[0], sigma[1])) <= 1e-9
+    # a restart stopped by its evaluation cap falls short of the ceiling, so the next one runs
+    evals.clear()
+    optimize_settings(maximally_entangled(1), "chsh",
+                      SearchConfig(seed=3, restarts=2, max_evals_per_restart=40))
+    assert evals == [40, 40]
+    # searches without a ceiling run every restart
+    evals.clear()
+    optimize_settings(maximally_entangled(1), "reid", SearchConfig(seed=3, restarts=3,
+                                                                   max_evals_per_restart=200))
+    assert len(evals) == 3
+
+
+def test_multi_start_stops_within_the_slack_of_its_ceiling(monkeypatch):
+    # the restarts stop within 1e-12 max(1, ceiling + bound) of the ceiling, not beyond it
+    evals = _count_pattern_searches(monkeypatch)
+    for ceiling, bound, runs in ((5e-13, 0.0, 1), (2e-12, 0.0, 4), (3e-12, 9.0, 1),
+                                 (1e-11, 9.0, 4)):
+        objective = lambda x: -np.sum((x - 1.0) ** 2, axis=1)  # largest value 0 at x = 1
+        objective.ceiling, objective.bound = ceiling, bound
+        evals.clear()
+        multi_start_max(objective, [(0.0, 2.0)], SearchConfig(seed=2, restarts=4))
+        assert len(evals) == runs, (ceiling, bound)
 
 
 def test_chsh_objective_is_alices_closed_form_maximum():

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -139,6 +142,36 @@ def test_spin_component_axis_and_spectrum():
     assert np.allclose(obs.outcome_spectrum, [-1.5, -0.5, 0.5, 1.5])
     tilted = spin_component(rep, UnitVector.from_angles(1.0, 2.0))
     assert np.allclose(tilted.outcome_spectrum, [-1.5, -0.5, 0.5, 1.5], atol=1e-10)
+
+
+def test_outcome_spectrum_equals_np_unique():
+    for two_s in range(1, 17):
+        rep = build_spin_rep(SpinQuantum(two_s))
+        for u in ROTATION_DIRECTIONS:
+            obs = spin_component(rep, u)
+            assert np.array_equal(obs.outcome_spectrum, np.unique(obs.levels)), (two_s, u)
+    # degenerate columns share one level, and each level is one outcome
+    levels = np.array([-1.0, -1.0, 0.0, 2.0, 2.0, 2.0])
+    obs = HermitianObservable(eigenvectors=np.eye(6), levels=levels,
+                              build_matrix=lambda: np.diag(levels))
+    assert np.array_equal(obs.outcome_spectrum, np.unique(levels))
+    assert obs.outcome_masks.sum(axis=1).tolist() == [2, 1, 3]
+
+
+def test_selftest_process_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma on its first call, which costs every CLI process
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import runpy, sys\n"
+            "sys.argv = ['bellkit', 'selftest']\n"
+            "try:\n"
+            "    runpy.run_module('bellkit.cli', run_name='__main__')\n"
+            "except SystemExit as exit:\n"
+            "    assert exit.code == 0, exit.code\n"
+            "print('numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False", proc.stdout
 
 
 def column_projectors(obs):
