@@ -6,8 +6,9 @@ oriented consistently (True means the classical inequality is broken);
 the signed `margin` follows each functional's own convention, noted in
 the docstrings.  Beside each searched evaluator sits its search
 problem (ranges, objective to maximize, report at the optimum): the
-state compiled once into the numbers the evaluator reads, and an
-objective that scores a (k, n) batch of points as k values.
+state compiled once into the numbers the evaluator reads, an objective
+that scores a (k, n) batch of points as k values, and the evaluator's
+report, which reid's problem builds from its own scores at the optimum.
 """
 
 from __future__ import annotations
@@ -428,15 +429,18 @@ def reid_ratio(state: BipartiteState, theta: float, theta_star: float,
     rep_b = build_spin_rep(state.s_b)
     pa_plus, _ = sign_projectors(spin_component(rep_a, _reid_direction(theta_star)), zero_policy)
     pb_plus, _ = sign_projectors(spin_component(rep_b, _reid_direction(phi)), zero_policy)
-    ratio, num, den = map(float, reid_fraction(
-        joint, expect_side(state, pa_plus, "A"), expect_side(state, pb_plus, "B")))
+    return _reid_report(state, (theta, theta_star, phi, phi_star), *map(float, reid_fraction(
+        joint, expect_side(state, pa_plus, "A"), expect_side(state, pb_plus, "B"))), zero_policy)
+
+
+def _reid_report(state: BipartiteState, angles, ratio, num, den, zero_policy) -> ViolationReport:
+    """reid_ratio's report at `angles` from reid_fraction's (ratio, numerator, denominator)."""
     if ratio == -math.inf:
         raise DegenerateConditionError("denominator of the Reid ratio vanishes")
     return ViolationReport(
         functional="reid", value=ratio, bound=1.0, margin=ratio - 1.0,
         violation=ratio - 1.0 > VIOLATION_TOL,
-        settings=[float(x) for x in (theta, theta_star, phi, phi_star)],
-        state_meta=dict(state.meta),
+        settings=[float(x) for x in angles], state_meta=dict(state.meta),
         extra={"numerator": num, "denominator": den, "zero_policy": zero_policy})
 
 
@@ -482,9 +486,9 @@ def _reid_difference_series(state: BipartiteState):
 def reid_problem(state: BipartiteState, coplanar: bool):
     """Search problem of reid_ratio over (theta, theta*, phi, phi*); `coplanar` is moot, as
     every direction lies in the x-z plane.  Every P(+,+) and P(+|.) that reid_ratio reads is
-    a trigonometric series in the angles: one compile, then per trial two phase rows per
-    side, the 2x2 table and two dot products; reid_fraction scores a vanishing denominator
-    -inf.  Where joint turns about y leave the state as it is, P(+,+) is one series in
+    a trigonometric series in the angles: one compile, then per trial two phase rows per side,
+    the 2x2 table and two dot products score reid_fraction for the objective and the report at
+    the optimum.  Where joint turns about y leave the state as it is, P(+,+) is one series in
     phi - theta, and restart 0 starts on the cut (0, 2a, a, 3a) where 3 P(a) - P(3a) peaks."""
     d_a, d_b = state.dims
     cost = (d_a * d_b) ** 2 * (1 if state.kind == "pure" else 10 * (d_a + d_b))
@@ -495,9 +499,9 @@ def reid_problem(state: BipartiteState, coplanar: bool):
         series, plus_a, plus_b = reduced
         k = np.arange(len(series))
 
-        def objective(x):  # table[:, i, j] at (theta, theta*)[i], (phi, phi*)[j]
+        def score(x):  # table[:, i, j] at (theta, theta*)[i], (phi, phi*)[j]
             table = np.cos((x[:, None, 2:] - x[:, :2, None])[..., None] * (2.0 * k)) @ series
-            return reid_fraction(np.clip(table, 0.0, 1.0), plus_a, plus_b)[0] - 1.0
+            return reid_fraction(np.clip(table, 0.0, 1.0), plus_a, plus_b)
 
         # 3 P(alpha) - P(3 alpha) = sum_m g_m cos(m t), t = 2 alpha, sampled 16x over 0 <= t <= pi
         g = np.bincount(np.r_[k, 3 * k], np.r_[3.0 * series, -series])
@@ -506,18 +510,24 @@ def reid_problem(state: BipartiteState, coplanar: bool):
         for _ in range(4):  # Newton steps, none where the curvature is not negative
             slope, curve = -(m * g) @ np.sin(m * t), -(m * m * g) @ np.cos(m * t)
             t -= slope / curve if curve < 0 else 0.0
-        objective.start = np.array([0.0, t, t / 2, 1.5 * t])
-        return [(0.0, math.pi)] * 4, objective, lambda x: reid_ratio(state, *x)
-    joint, plus_a, plus_b = sign_bin_series(state)
-    two_a, two_b = state.s_a.two_s, state.s_b.two_s
+        start = np.array([0.0, t, t / 2, 1.5 * t])
+    else:
+        joint, plus_a, plus_b = sign_bin_series(state)
+        two_a, two_b, start = state.s_a.two_s, state.s_b.two_s, None
+
+        def score(x):
+            e_a, e_b = sign_bin_phases(two_a, x[:, :2]), sign_bin_phases(two_b, x[:, 2:])
+            table = (e_a.reshape(-1, len(joint)) @ joint).reshape(len(x), 2, -1)
+            table = table @ e_b.swapaxes(1, 2)
+            return reid_fraction(np.clip(table.real, 0.0, 1.0), (e_a[:, 1] @ plus_a).real,
+                                 (e_b[:, 0] @ plus_b).real)
 
     def objective(x):
-        e_a, e_b = sign_bin_phases(two_a, x[:, :2]), sign_bin_phases(two_b, x[:, 2:])
-        table = (e_a.reshape(-1, len(joint)) @ joint).reshape(len(x), 2, -1) @ e_b.swapaxes(1, 2)
-        return reid_fraction(np.clip(table.real, 0.0, 1.0), (e_a[:, 1] @ plus_a).real,
-                             (e_b[:, 0] @ plus_b).real)[0] - 1.0
+        return score(x)[0] - 1.0
 
-    return [(0.0, math.pi)] * 4, objective, lambda x: reid_ratio(state, *x)
+    objective.start = start
+    return [(0.0, math.pi)] * 4, objective, lambda x: _reid_report(
+        state, x, *(float(np.ravel(v)[0]) for v in score(x[None])), "plus")  # den may be 0-d
 
 
 def cfrd_margin(state: BipartiteState, obs_a1, obs_a2, obs_b1, obs_b2) -> ViolationReport:

@@ -427,7 +427,7 @@ def test_scan_grid_validation():
 
 def test_reid_search_propagates_real_errors(monkeypatch):
     # only a vanishing denominator counts as a failed evaluation: an error in
-    # reid_ratio at the optimum, or in the compiled scorer at a step, reaches the caller
+    # the report at the optimum, or in the compiled scorer at a step, reaches the caller
     import bellkit.functionals
 
     def broken(name):
@@ -435,7 +435,7 @@ def test_reid_search_propagates_real_errors(monkeypatch):
             raise RuntimeError(f"{name} bug")
         return raise_error
 
-    for name in ("reid_ratio", "reid_fraction"):
+    for name in ("_reid_report", "reid_fraction"):
         monkeypatch.setattr(bellkit.functionals, name, broken(name))
         with pytest.raises(RuntimeError, match=f"{name} bug"):
             optimize_settings(maximally_entangled(1), "reid", SearchConfig(seed=1, restarts=1))
@@ -489,19 +489,48 @@ def test_reid_compiled_objective_equals_reid_ratio():
     assert abs(mixed_batch[1] - reid_ratio(down_down, 0.3, 1.1, 0.7, 2.0).margin) <= 1e-12
 
 
-def test_reid_search_calls_reid_ratio_once_at_the_optimum(monkeypatch):
+def test_reid_search_reports_from_its_compiled_series(monkeypatch):
+    # the report at the optimum reads the compiled series and never calls reid_ratio, yet
+    # equals reid_ratio at its settings on every family, both paths, mixed states and unequal
+    # spins included; its margin is the best objective value the search found, to the bit
     import bellkit.functionals
 
-    calls = []
+    calls, found, search_max = [], [], search.multi_start_max
+    compiles = _spy_on_the_generic_compile(monkeypatch)
+    monkeypatch.setattr(bellkit.functionals, "reid_ratio", lambda *args, **kw: calls.append(args))
+    monkeypatch.setattr(search, "multi_start_max",
+                        lambda *args: found.append(search_max(*args)) or found[-1])
+    states = [build_state(name, params)
+              for name, cases in _REID_FAMILY_PARAMS.items() for params in cases]
+    for st in states:
+        rep = optimize_settings(st, "reid", SearchConfig(seed=4, restarts=3,
+                                                         max_evals_per_restart=100))
+        assert calls == []
+        want = reid_ratio(st, *rep.settings)
+        for got, dense in ((rep.value, want.value), (rep.margin, want.margin),
+                           (rep.extra["numerator"], want.extra["numerator"]),
+                           (rep.extra["denominator"], want.extra["denominator"])):
+            assert abs(got - dense) <= 1e-12 * abs(dense), (st.meta, got, dense)
+        assert (rep.violation, rep.settings, rep.state_meta, rep.extra["zero_policy"]) == (
+            want.violation, want.settings, want.state_meta, want.extra["zero_policy"])
+        assert rep.margin == found[-1][1], (st.meta, rep.margin, found[-1][1])
+    assert 0 < len(compiles) < len(states)  # both paths ran
 
-    def counted(state, *angles, **kwargs):
-        calls.append([float(a) for a in angles])
-        return reid_ratio(state, *angles, **kwargs)
 
-    monkeypatch.setattr(bellkit.functionals, "reid_ratio", counted)
-    rep = optimize_settings(werner(2, -0.5), "reid",
-                            SearchConfig(seed=4, restarts=3, max_evals_per_restart=100))
-    assert calls == [rep.settings]
+def test_reid_report_on_a_vanishing_denominator(monkeypatch):
+    # |down, down> at all-zero angles: the report raises reid_ratio's error on both paths,
+    # the difference series carrying its values there (P(+,+) = 0, both marginals 0)
+    import bellkit.functionals
+
+    down_down = rm_weighted(SpinQuantum(1), [0.0, 1.0])
+    with pytest.raises(DegenerateConditionError) as dense:
+        reid_ratio(down_down, 0.0, 0.0, 0.0, 0.0)
+    for reduced in (None, (np.zeros(2), 0.0, 0.0)):
+        monkeypatch.setattr(bellkit.functionals, "_reid_difference_series", lambda st: reduced)
+        report = FUNCTIONALS["reid"].optimize(down_down, False)[2]
+        with pytest.raises(DegenerateConditionError) as got:
+            report(np.zeros(4))
+        assert str(got.value) == str(dense.value)
 
 
 def test_reid_search_macroscopic_spin():
@@ -516,7 +545,7 @@ def test_reid_search_macroscopic_spin():
 # ratio - 1 of maximally_entangled(N) at the optimum of the symmetric cut, one restart
 # of 40 evaluations; N = 1 is the Clauser-Horne optimum (sqrt 2 - 1)/2
 _REID_CUT_TABLE = {1: 0.2071068, 2: 9.0575825e-2, 3: 8.736178e-2, 20: 1.523786e-2,
-                   200: 1.6571278e-3}
+                   200: 1.6571278e-3, 446: 7.471774e-4}
 
 
 def test_reid_search_macroscopic_table():
