@@ -99,8 +99,7 @@ def _check(command: str, spec: dict, seed: int | None = None):
     if config is None:
         raise ValidationError("optimize specs must carry an explicit seed")
     if entry.state is None:
-        problem = entry.optimize(*params.values())
-        return lambda: maximize(problem, config).to_dict()
+        return lambda: maximize(lambda: entry.optimize(*params.values()), config).to_dict()
     return lambda: optimize_settings(build(), name, config).to_dict()
 
 

@@ -4,17 +4,18 @@ declarative descriptions.
 Each evaluator returns a ViolationReport whose `violation` flag is
 oriented consistently (True means the classical inequality is broken);
 the signed `margin` follows each functional's own convention, noted in
-the docstrings.  Beside each searched evaluator sits its search
-problem (ranges, objective to maximize, report at the optimum): the
-state compiled once into the numbers the evaluator reads, an objective
-that scores a (k, n) batch of points as k values, and the evaluator's
-report, which reid's problem builds from its own scores at the optimum.
+the docstrings.  Beside each searched evaluator sits its SearchProblem:
+the state compiled once into the numbers the evaluator reads, an
+objective that scores a (k, n) batch of points as k values, the
+evaluator's report at a point (reid's builds it from its own scores),
+and where known restart 0's start and a value to stop the restarts at.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -187,8 +188,22 @@ class ViolationReport:
         return d
 
 
+class SearchProblem(NamedTuple):
+    """The ranges of random starts, objective, report, restart 0's start and stopping value."""
+    ranges: list
+    objective: Callable
+    report: Callable
+    start: np.ndarray | None = None
+    stop: float = math.inf
+
+
 def _vec(u: UnitVector) -> list:
     return [u.ux, u.uy, u.uz]
+
+
+def _along(w: list) -> UnitVector:  # w / |w|, or z where w = 0
+    n = math.hypot(*w)
+    return UnitVector(*(x / n for x in w)) if n > 1e-300 else UnitVector(0.0, 0.0, 1.0)
 
 
 def _form_values(forms: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -201,9 +216,9 @@ def _form_values(forms: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", v @ forms, v)
 
 
-def _over_vectors(count: int, coplanar: bool, objective, report):
+def _over_vectors(count: int, coplanar: bool, objective, report, stop: float = math.inf):
     """Search over `count` unit vectors: one angle each in the x-z plane
-    when coplanar, else a polar and an azimuthal angle each.  A batch of
+    when coplanar, else a polar and an azimuthal angle each, stopped at `stop`.  A batch of
     k angle rows reaches the objective as one (k, count, 3) array of
     directions, and the objective returns k values; `report` gets one
     row's directions as UnitVectors."""
@@ -223,8 +238,8 @@ def _over_vectors(count: int, coplanar: bool, objective, report):
 
     ranges = [(0.0, 2 * math.pi)] if coplanar else [(0.0, math.pi), (0.0, 2 * math.pi)]
     # + 0.0 turns a y = -0.0 (sin(polar) < 0 at an azimuth of 0) into 0.0
-    return (ranges * count, lambda x: objective(directions(x)),
-            lambda x: report(*(UnitVector(*row) for row in (directions(x[None])[0] + 0.0).tolist())))
+    return SearchProblem(ranges * count, lambda x: objective(directions(x)), lambda x: report(
+        *(UnitVector(*row) for row in (directions(x[None])[0] + 0.0).tolist())), stop=stop)
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +270,9 @@ def chsh_problem(state: BipartiteState, coplanar: bool):
     """Search problem of chsh_value over Bob's (v1, v2), Alice's settings maximized in closed
     form.  S = sum_i u_i^T w_i with w_i = T sum_j coef[i, j] v_j, so at fixed v the largest S is
     sum_i |w_i|, at u_i = w_i / |w_i|, or z where w_i = 0 and its term is 0 for every u_i.
-    Coplanar settings read T's x-z block, so each u_i stays in the x-z plane.  No objective
-    value exceeds objective.ceiling = 2 sqrt(s1^2 + s2^2) - bound, from the two largest singular
-    values of that T (Horodecki, Phys. Lett. A 200, 340 (1995))."""
+    Coplanar settings read T's x-z block, so each u_i stays in the x-z plane.  The restarts stop
+    within 1e-12 max(1, max |S|) of max |S| - bound, max |S| = 2 sqrt(s1^2 + s2^2) from the two
+    largest singular values of that T (Horodecki, Phys. Lett. A 200, 340 (1995))."""
     functional = generalized_chsh_functional(state.s_a.two_s, state.s_b.two_s)
     coef = np.zeros((2, 2))
     for term in functional.terms:
@@ -272,15 +287,11 @@ def chsh_problem(state: BipartiteState, coplanar: bool):
     def report(v1, v2):
         # + 0.0 turns a coplanar w_y = -0.0 into 0.0
         w = (alice(np.array([[_vec(v1), _vec(v2)]]))[0] + 0.0).tolist()
-        us = [UnitVector(*(x / n for x in wi)) if (n := math.hypot(*wi)) > 1e-300
-              else UnitVector(0.0, 0.0, 1.0) for wi in w]
-        return chsh_value(state, *us, v1, v2)
+        return chsh_value(state, *map(_along, w), v1, v2)
 
-    problem = _over_vectors(2, coplanar,
-                            lambda v: np.linalg.norm(alice(v), axis=2).sum(axis=1) - bound, report)
-    problem[1].ceiling = 2.0 * math.hypot(*np.linalg.svd(t, compute_uv=False)[:2]) - bound
-    problem[1].bound = bound
-    return problem
+    top = 2.0 * math.hypot(*np.linalg.svd(t, compute_uv=False)[:2])  # max |S|
+    objective = lambda v: np.linalg.norm(alice(v), axis=2).sum(axis=1) - bound
+    return _over_vectors(2, coplanar, objective, report, top - bound - 1e-12 * max(1.0, top))
 
 
 def mermin_check(state: BipartiteState, a: UnitVector, b: UnitVector, c: UnitVector,
@@ -309,9 +320,10 @@ def mermin_check(state: BipartiteState, a: UnitVector, b: UnitVector, c: UnitVec
 
     margin = LHS - RHS; margin < 0 means violation.
     """
-    sval, tol, mean, forms = _mermin_forms(state)
+    sval, tol, mean, t, forms = _mermin_forms(state)
     va, vb = a.as_array(), b.as_array()
-    lhs, rhs, premise_gap = map(float, _form_values(forms, np.array([va, vb, c.as_array()])))
+    lhs, premise_gap = map(float, _form_values(forms, np.array([va, vb])))
+    rhs = float((va + vb) @ t @ c.as_array())
     if reading == "absolute_of_difference":
         rep = build_spin_rep(state.s_a)
         alphas, betas, table = joint_distribution(
@@ -332,36 +344,37 @@ def mermin_check(state: BipartiteState, a: UnitVector, b: UnitVector, c: UnitVec
 
 
 def _mermin_forms(state: BipartiteState) -> tuple:
-    """(s, premise tolerance VIOLATION_TOL max(1, s^2), spin means, F) of a pair of equal
-    spins, with symmetric 10 x 10 forms F[0..2] such that (lhs, rhs, premise gap) = v^T F v
-    at v = (a, b, c, 1): the squared_difference reading's lhs = s <Delta^2> with
-    Delta = a.S^A - b.S^B, rhs = <S_Aa S_Bc> + <S_Ab S_Bc>, and <(b.S^A + b.S^B)^2>."""
+    """(s, premise tolerance VIOLATION_TOL max(1, s^2), spin means, T, F) of equal spins:
+    T_ij = <S^A_i S^B_j>, so rhs = <S_Aa S_Bc> + <S_Ab S_Bc> = (a + b)^T T c, and 7 x 7 forms
+    F[0..1] with (lhs, premise gap) = v^T F v at v = (a, b, 1): the squared_difference reading's
+    lhs = s <Delta^2> with Delta = a.S^A - b.S^B, and <(b.S^A + b.S^B)^2>."""
     if state.s_a != state.s_b:
         raise ValidationError("mermin_check needs equal subsystem spins")
     sval = state.s_a.s
     mean, second = spin_moments(state)
     aa, ab, bb = second[:3, :3], second[:3, 3:], second[3:, 3:]
-    f = np.zeros((3, 10, 10))
+    f = np.zeros((2, 7, 7))
     f[0, :3, :3], f[0, 3:6, 3:6] = sval * aa, sval * bb
     f[0, :3, 3:6], f[0, 3:6, :3] = -sval * ab, -sval * ab.T
-    f[1, :3, 6:9] = f[1, 3:6, 6:9] = 0.5 * ab
-    f[1, 6:9, :3] = f[1, 6:9, 3:6] = 0.5 * ab.T
-    f[2, 3:6, 3:6] = aa + ab + ab.T + bb
-    return sval, VIOLATION_TOL * max(1.0, sval ** 2), mean, f
+    f[1, 3:6, 3:6] = aa + ab + ab.T + bb
+    return sval, VIOLATION_TOL * max(1.0, sval ** 2), mean, ab, f
 
 
 def mermin_problem(state: BipartiteState, coplanar: bool):
-    """Search problem of mermin_check over (a, b, c): -margin of the squared_difference
-    reading (violation when LHS < RHS) where the premise holds; elsewhere below every
-    -margin (|margin| <= 4s^3 + 2s^2), falling as the gap grows."""
-    sval, tol, _, forms = _mermin_forms(state)
+    """Search problem of mermin_check over (a, b); c = w / |w| maximizes rhs = w.c at |w|, a form
+    squared, w = T^T (a + b) (x-z part when coplanar).  -margin of the squared_difference reading
+    where the premise holds, else below every -margin (<= 4s^3 + 2s^2), falling with the gap."""
+    sval, tol, _, t, forms = _mermin_forms(state)
+    t = t * np.array([1.0, 0.0, 1.0]) if coplanar else t
+    forms = np.concatenate([forms, np.pad(np.tile(t @ t.T, (2, 2)), (0, 1))[None]])
     floor = 4 * sval ** 3 + 2 * sval ** 2 + 1
 
     def objective(d):
-        lhs, rhs, gap = _form_values(forms, d)
-        return np.where(gap > tol, -floor - gap, rhs - lhs)
+        lhs, gap, w2 = _form_values(forms, d)
+        return np.where(gap > tol, -floor - gap, np.sqrt(np.maximum(w2, 0.0)) - lhs)
 
-    return _over_vectors(3, coplanar, objective, lambda *vs: mermin_check(state, *vs))
+    return _over_vectors(2, coplanar, objective, lambda a, b: mermin_check(  # + 0.0: no w_y = -0.0
+        state, a, b, _along(((a.as_array() + b.as_array()) @ t + 0.0).tolist())))
 
 
 def mermin_coplanar_vectors(theta: float):
@@ -522,12 +535,8 @@ def reid_problem(state: BipartiteState, coplanar: bool):
             return reid_fraction(np.clip(table.real, 0.0, 1.0), (e_a[:, 1] @ plus_a).real,
                                  (e_b[:, 0] @ plus_b).real)
 
-    def objective(x):
-        return score(x)[0] - 1.0
-
-    objective.start = start
-    return [(0.0, math.pi)] * 4, objective, lambda x: _reid_report(
-        state, x, *(float(np.ravel(v)[0]) for v in score(x[None])), "plus")  # den may be 0-d
+    return SearchProblem([(0.0, math.pi)] * 4, lambda x: score(x)[0] - 1.0, lambda x: _reid_report(
+        state, x, *(float(np.ravel(v)[0]) for v in score(x[None])), "plus"), start)  # den may be 0-d
 
 
 def cfrd_margin(state: BipartiteState, obs_a1, obs_a2, obs_b1, obs_b2) -> ViolationReport:
@@ -584,7 +593,7 @@ def cfrd_weight_problem(s: SpinQuantum):
         best.settings = [float(v) for v in r]
         return best
 
-    return [(-1.0, 1.0)] * d, objective, report
+    return SearchProblem([(-1.0, 1.0)] * d, objective, report)
 
 
 def cfrd_quadrature_margin(state: BipartiteState) -> float:

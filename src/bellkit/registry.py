@@ -249,8 +249,8 @@ def _asin(x):
 class Functional:
     """One functional's entries; None means the subcommand lacks it.
     `optimize` maps (state, coplanar), or a stateless functional's
-    checked params in order, to a search problem of `functionals`:
-    (ranges, objective to maximize, report at the optimum)."""
+    checked params in order, to the `functionals.SearchProblem` record
+    that `search.maximize` builds inside its clock and runs."""
 
     state: type | None = None            # state class it reads; None: no state
     params: Callable = record({})        # converter of functional.params

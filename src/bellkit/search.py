@@ -3,7 +3,7 @@
 Multi-start coordinate pattern search, and the scan over one state or
 geometry parameter.  The search problems themselves, over measurement
 angles and, for the moment inequality, over pair-state weights, are
-built in `functionals` beside the evaluators they read.  Every
+`functionals.SearchProblem` records beside the evaluators they read.  Every
 objective is oriented so that positive values mean violation;
 binned-probability objectives are only piecewise smooth, which is why
 no gradients are used.
@@ -99,19 +99,12 @@ def pattern_search_max(objective, x0: np.ndarray, step: float,
     return x, fx, evals
 
 
-def multi_start_max(objective, ranges, config: SearchConfig):
-    """Best-of pattern search over seed-derived random starts (restart 0 at
-    `objective.start` where a problem sets one).  The per-restart substream is
-    keyed (seed, restart index), so the result does not depend on evaluation scheduling.
-    Where a problem sets `objective.ceiling`, a proven largest value, and `objective.bound`,
-    the constant it subtracts (the CHSH problem does), the restarts stop once the best is
-    within 1e-12 max(1, ceiling + bound) of the ceiling: far above rounding, far below
-    VIOLATION_TOL, and no later restart could beat it by more."""
+def multi_start_max(problem, config: SearchConfig):
+    """(best x, best value) of pattern searches of `problem.objective` from random starts in
+    `problem.ranges` (restart 0 at `problem.start` if set) until the best reaches `problem.stop`.
+    Restart k draws from the substream keyed (seed, k), so no schedule changes the result."""
+    ranges, objective, _, start, stop = problem
     best_x, best_f = None, -math.inf
-    start = getattr(objective, "start", None)
-    stop = getattr(objective, "ceiling", math.inf)
-    if stop < math.inf:  # the ceiling less its slack
-        stop -= 1e-12 * max(1.0, stop + objective.bound)
     for k in range(config.restarts):
         rng = np.random.default_rng([config.seed, k])
         x0 = np.array([rng.uniform(lo, hi) for lo, hi in ranges]) if k or start is None else start
@@ -124,13 +117,12 @@ def multi_start_max(objective, ranges, config: SearchConfig):
     return best_x, best_f
 
 
-def maximize(problem, config: SearchConfig) -> ViolationReport:
-    """Run a search problem of `functionals` (ranges, objective, report at
-    the optimum) and stamp its report with the seed and the wall time."""
+def maximize(build, config: SearchConfig) -> ViolationReport:
+    """Build a search problem of `functionals` (build() returns it), run it and stamp its
+    report at the optimum with the seed and the wall time, the build included."""
     t0 = time.perf_counter()
-    ranges, objective, report_at = problem
-    x, _ = multi_start_max(objective, ranges, config)
-    report = report_at(x)
+    problem = build()
+    report = problem.report(multi_start_max(problem, config)[0])
     report.seed = config.seed
     report.wall_time_s = time.perf_counter() - t0
     return report
@@ -143,7 +135,7 @@ def optimize_settings(state, functional: str, config: SearchConfig) -> Violation
     a valid result."""
     entry = lookup(functional, "optimize")
     require_state(functional, entry, type(state))
-    return maximize(entry.optimize(state, config.coplanar), config)
+    return maximize(lambda: entry.optimize(state, config.coplanar), config)
 
 
 def optimize_weights_cfrd(s: SpinQuantum, config: SearchConfig) -> ViolationReport:
@@ -155,7 +147,7 @@ def optimize_weights_cfrd(s: SpinQuantum, config: SearchConfig) -> ViolationRepo
     equal-m pairing the cross moment <S+ S-> is identically zero and
     the weights drop out of the margin altogether.
     """
-    return maximize(cfrd_weight_problem(s), config)
+    return maximize(lambda: cfrd_weight_problem(s), config)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 
 from bellkit.spin import HermitianObservable, SpinQuantum, build_spin_rep
+from bellkit.states import spin_moments
 
 
 def symmetric_lhv_min_bruteforce(n_atoms: int):
@@ -103,3 +104,28 @@ def pattern_search_max_one_at_a_time(f, x0, step, tolerance, max_evals):
         if not improved:
             step /= 2.0
     return x, fx, evals
+
+
+def mermin_abc_objective(state):
+    """The Mermin search objective over all three directions, as it was before c was taken
+    in closed form: -margin of the squared_difference reading where the premise gap is at
+    most 1e-9 max(1, s^2), else -(4s^3 + 2s^2 + 1) - gap.  Maps a (k, 3, 3) stack of rows
+    (a, b, c) to k values through symmetric 10 x 10 forms F[0..2] with
+    (lhs, rhs, premise gap) = v^T F v at v = (a, b, c, 1)."""
+    s = state.s_a.s
+    second = spin_moments(state)[1]
+    aa, ab, bb = second[:3, :3], second[:3, 3:], second[3:, 3:]
+    f = np.zeros((3, 10, 10))
+    f[0, :3, :3], f[0, 3:6, 3:6] = s * aa, s * bb
+    f[0, :3, 3:6], f[0, 3:6, :3] = -s * ab, -s * ab.T
+    f[1, :3, 6:9] = f[1, 3:6, 6:9] = 0.5 * ab
+    f[1, 6:9, :3] = f[1, 6:9, 3:6] = 0.5 * ab.T
+    f[2, 3:6, 3:6] = aa + ab + ab.T + bb
+    tol, floor = 1e-9 * max(1.0, s * s), 4 * s ** 3 + 2 * s ** 2 + 1
+
+    def objective(d):
+        v = np.concatenate([d.reshape(len(d), 9), np.ones((len(d), 1))], axis=1)
+        lhs, rhs, gap = np.einsum("...i,...i->...", v @ f, v)
+        return np.where(gap > tol, -floor - gap, rhs - lhs)
+
+    return objective

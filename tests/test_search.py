@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from bellkit import search
+from bellkit import cli, search
 from bellkit.errors import CapacityError, DegenerateConditionError, ValidationError
 from bellkit.functionals import (
-    cfrd_margin, cfrd_weight_problem, chsh_problem, chsh_value, reid_ratio,
+    SearchProblem, _over_vectors, cfrd_margin, cfrd_weight_problem, chsh_problem, chsh_value,
+    generalized_chsh_functional, mermin_problem, reid_ratio,
 )
 from bellkit.registry import FAMILIES, FUNCTIONALS, build_state
 from bellkit.spin import SpinQuantum, UnitVector, build_spin_rep, spin_component
@@ -26,7 +27,9 @@ from bellkit.search import (
     pattern_search_max,
     scan_parameter,
 )
-from reference import dense_reid_ratio_maximally_entangled, pattern_search_max_one_at_a_time
+from reference import (
+    dense_reid_ratio_maximally_entangled, mermin_abc_objective, pattern_search_max_one_at_a_time,
+)
 
 
 def test_search_config_validation():
@@ -56,8 +59,8 @@ def test_pattern_search_quadratic():
 def test_multi_start_deterministic():
     f = lambda x: -np.sum((x - 2.0) ** 2, axis=1) + np.sin(5 * x[:, 0])
     cfg = SearchConfig(seed=42, restarts=6)
-    r1 = multi_start_max(f, [(-3, 3), (-3, 3)], cfg)
-    r2 = multi_start_max(f, [(-3, 3), (-3, 3)], cfg)
+    r1 = multi_start_max(SearchProblem([(-3, 3), (-3, 3)], f, None), cfg)
+    r2 = multi_start_max(SearchProblem([(-3, 3), (-3, 3)], f, None), cfg)
     assert np.allclose(r1[0], r2[0]) and r1[1] == r2[1]
 
 
@@ -163,7 +166,7 @@ def test_compiled_objective_equals_evaluator():
     for name, states in cases.items():
         for st in states:
             for coplanar in (False, True):
-                ranges, objective, report = FUNCTIONALS[name].optimize(st, coplanar)
+                ranges, objective, report, *_ = FUNCTIONALS[name].optimize(st, coplanar)
                 # angles beyond the start ranges too, where the search may walk;
                 # 50 single rows, then the same 50 as one batch
                 xs = np.array([[rng.uniform(lo - 1.0, hi + 1.0) for lo, hi in ranges]
@@ -202,9 +205,16 @@ def test_chsh_search_reaches_horodecki_maximum():
             assert abs(abs(rep.value) - want) < 1e-9, (st.meta, coplanar, rep.value, want)
 
 
-def test_chsh_ceiling_is_the_horodecki_maximum():
-    # the problem's ceiling + bound is 2 sqrt(s1^2 + s2^2) of the dense T (its x-z block
-    # when coplanar)
+def _chsh_ceiling(problem, st):
+    """(ceiling, bound) of a CHSH problem: the largest objective value, max |S| - bound, which
+    its restarts stop 1e-12 max(1, max |S|) below."""
+    bound = generalized_chsh_functional(st.s_a.two_s, st.s_b.two_s).bound
+    return problem.stop + 1e-12 * max(1.0, problem.stop + bound), bound
+
+
+def _horodecki_cases():
+    """(state, coplanar, 2 sqrt(s1^2 + s2^2) of the dense T, or of its x-z block when
+    coplanar); max |S| runs from 0.42 to 3.5, on both sides of 1."""
     rng = np.random.default_rng(12)
     states = [singlet(1), maximally_entangled(1), maximally_entangled(2),
               maximally_entangled(3), werner(2, -0.5),
@@ -214,9 +224,15 @@ def test_chsh_ceiling_is_the_horodecki_maximum():
         t = _dense_correlation_matrix(st)
         for coplanar, block in ((False, t), (True, t[np.ix_([0, 2], [0, 2])])):
             sigma = np.linalg.svd(block, compute_uv=False)
-            want = 2.0 * math.hypot(sigma[0], sigma[1])
-            objective = chsh_problem(st, coplanar)[1]
-            assert abs(objective.ceiling + objective.bound - want) <= 1e-12, (st.meta, coplanar)
+            yield st, coplanar, 2.0 * math.hypot(sigma[0], sigma[1])
+
+
+def test_chsh_ceiling_is_the_horodecki_maximum():
+    # the problem's ceiling + bound is 2 sqrt(s1^2 + s2^2) of the dense T (its x-z block
+    # when coplanar)
+    for st, coplanar, want in _horodecki_cases():
+        ceiling, bound = _chsh_ceiling(chsh_problem(st, coplanar), st)
+        assert abs(ceiling + bound - want) <= 1e-12, (st.meta, coplanar)
 
 
 def test_chsh_objective_never_exceeds_its_ceiling():
@@ -225,9 +241,10 @@ def test_chsh_objective_never_exceeds_its_ceiling():
               for a in (1, 2, 3, 4) for b in (1, 2, 3, 4)]
     for st in [*states, werner(2, -0.8), werner(3, 0.6)]:
         for coplanar in (False, True):
-            ranges, objective, _ = chsh_problem(st, coplanar)
-            x = np.column_stack([rng.uniform(lo, hi, size=500) for lo, hi in ranges])
-            assert objective(x).max() <= objective.ceiling + 1e-12, (st.meta, coplanar)
+            problem = chsh_problem(st, coplanar)
+            x = np.column_stack([rng.uniform(lo, hi, size=500) for lo, hi in problem.ranges])
+            ceiling = _chsh_ceiling(problem, st)[0]
+            assert problem.objective(x).max() <= ceiling + 1e-12, (st.meta, coplanar)
 
 
 def _count_pattern_searches(monkeypatch):
@@ -261,15 +278,26 @@ def test_chsh_restarts_stop_at_the_ceiling(monkeypatch):
 
 
 def test_multi_start_stops_within_the_slack_of_its_ceiling(monkeypatch):
-    # the restarts stop within 1e-12 max(1, ceiling + bound) of the ceiling, not beyond it
+    # the restarts stop once the best reaches problem.stop, here a ceiling less the CHSH slack
+    # 1e-12 max(1, ceiling + bound), and not before
     evals = _count_pattern_searches(monkeypatch)
     for ceiling, bound, runs in ((5e-13, 0.0, 1), (2e-12, 0.0, 4), (3e-12, 9.0, 1),
                                  (1e-11, 9.0, 4)):
         objective = lambda x: -np.sum((x - 1.0) ** 2, axis=1)  # largest value 0 at x = 1
-        objective.ceiling, objective.bound = ceiling, bound
+        stop = ceiling - 1e-12 * max(1.0, ceiling + bound)
         evals.clear()
-        multi_start_max(objective, [(0.0, 2.0)], SearchConfig(seed=2, restarts=4))
+        multi_start_max(SearchProblem([(0.0, 2.0)], objective, None, stop=stop),
+                        SearchConfig(seed=2, restarts=4))
         assert len(evals) == runs, (ceiling, bound)
+
+
+def test_chsh_stop_is_the_horodecki_maximum_less_its_slack():
+    # stop = max |S| - bound - 1e-12 max(1, max |S|), max |S| from the dense T; the 1e-12
+    # slack is 100 times the tolerance of the comparison
+    for st, coplanar, want in _horodecki_cases():
+        bound = generalized_chsh_functional(st.s_a.two_s, st.s_b.two_s).bound
+        stop = chsh_problem(st, coplanar).stop
+        assert abs(stop - (want - bound - 1e-12 * max(1.0, want))) <= 1e-14, (st.meta, coplanar)
 
 
 def test_chsh_objective_is_alices_closed_form_maximum():
@@ -282,7 +310,7 @@ def test_chsh_objective_is_alices_closed_form_maximum():
               random_pure_state(SpinQuantum(1), SpinQuantum(3), rng), werner(2, -0.7)]
     for st in states:
         for coplanar in (False, True):
-            ranges, objective, report = chsh_problem(st, coplanar)
+            ranges, objective, report, *_ = chsh_problem(st, coplanar)
             for _ in range(2):
                 x = np.array([rng.uniform(lo, hi) for lo, hi in ranges])
                 got, rep = objective(x[None])[0], report(x)
@@ -359,6 +387,81 @@ def test_mermin_optimizer_finds_the_premise():
     assert abs(abs(rep.settings[1][2]) - 1.0) <= 1e-6
 
 
+def _mermin_states():
+    """The Mermin states of test_compiled_objective_equals_evaluator."""
+    rng = np.random.default_rng(77)
+    return [werner(1, -0.8), werner(2, -0.5), werner(3, 0.4), maximally_entangled(2),
+            relative_phase(3, 0.7), random_pure_state(SpinQuantum(2), SpinQuantum(2), rng),
+            singlet(3)]
+
+
+def test_mermin_objective_is_the_three_direction_objective_maximized_over_c():
+    # at fixed (a, b) the objective is the largest value over c of the objective over (a, b, c)
+    # (c in the x-z plane when coplanar): at least it at 100 random unit c, and it at the c
+    # that the report returns
+    rng = np.random.default_rng(23)
+    for st in _mermin_states():
+        oracle = mermin_abc_objective(st)
+        for coplanar in (False, True):
+            ranges, objective, report, *_ = mermin_problem(st, coplanar)
+            xs = np.array([[rng.uniform(lo, hi) for lo, hi in ranges] for _ in range(50)])
+            for x, got in zip(xs, objective(xs)):
+                a, b, c = report(x).settings
+                assert not coplanar or a[1] == b[1] == c[1] == 0.0
+                want = oracle(np.array([[a, b, c]]))[0]
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (st.meta, coplanar, x)
+                cs = rng.normal(size=(100, 3))
+                cs[:, 1] *= not coplanar
+                cs /= np.linalg.norm(cs, axis=1, keepdims=True)
+                others = oracle(np.stack([np.broadcast_to(a, (100, 3)),
+                                          np.broadcast_to(b, (100, 3)), cs], axis=1))
+                assert others.max() <= got + 1e-12 * max(1.0, abs(got)), (st.meta, coplanar, x)
+
+
+def test_mermin_search_never_loses_to_the_three_direction_search():
+    # relative_phase holds the premise along z only; the (a, b) search ends no lower than the
+    # search over (a, b, c), run through the same multi_start_max at the same seed and budget
+    for n in (2, 3):
+        st = relative_phase(n, 0.4)
+        for coplanar in (False, True):
+            old = _over_vectors(3, coplanar, mermin_abc_objective(st), None)
+            for seed in (1, 2):
+                config = SearchConfig(seed=seed, restarts=4, coplanar=coplanar)
+                got = multi_start_max(mermin_problem(st, coplanar), config)[1]
+                want = multi_start_max(old, config)[1]
+                assert got >= want, (n, coplanar, seed, got, want)
+
+
+def test_mermin_search_finds_a_violation_on_relative_phase():
+    # the search over (a, b, c) ended without one at both of these seeds
+    st = relative_phase(3, 0.4)
+    for seed, coplanar in ((1, True), (2, False)):
+        rep = optimize_settings(st, "mermin", SearchConfig(seed=seed, restarts=4,
+                                                           coplanar=coplanar))
+        assert rep.violation, (seed, coplanar, rep.margin, rep.extra["premise_gap"])
+
+
+def test_wall_time_includes_the_problem_build(monkeypatch, tmp_path):
+    # a problem that takes 50 ms to build shows in the report's wall_time_s, through
+    # optimize_settings and through the CLI's stateless optimize
+    import json
+    import time
+
+    def slow(build):
+        return lambda *args: time.sleep(0.05) or build(*args)
+
+    for name in ("chsh", "cfrd_weights"):
+        monkeypatch.setitem(FUNCTIONALS, name, dataclasses.replace(
+            FUNCTIONALS[name], optimize=slow(FUNCTIONALS[name].optimize)))
+    config = SearchConfig(seed=1, restarts=1, max_evals_per_restart=10)
+    assert optimize_settings(singlet(1), "chsh", config).wall_time_s >= 0.05
+    spec, out = tmp_path / "spec.json", tmp_path / "out.json"
+    spec.write_text(json.dumps({"functional": {"name": "cfrd_weights", "params": {"two_s": 1}},
+                                "search": {"seed": 1, "restarts": 1}}))
+    assert cli.run(["optimize", "--spec", str(spec), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["report"]["wall_time_s"] >= 0.05
+
+
 def test_reid_optimizer_small_n():
     rep = optimize_settings(maximally_entangled(2), "reid",
                             SearchConfig(seed=5, restarts=6))
@@ -381,7 +484,7 @@ def test_cfrd_batched_objective_equals_cfrd_margin():
     for two_s in range(1, 7):
         s = SpinQuantum(two_s)
         rep, d = build_spin_rep(s), s.dim
-        ranges, objective, _ = cfrd_weight_problem(s)
+        ranges, objective, *_ = cfrd_weight_problem(s)
         assert ranges == [(-1.0, 1.0)] * d
         xs = rng.uniform(-1.0, 1.0, (50, d))
         for x, got in zip(xs, objective(xs)):
@@ -465,7 +568,7 @@ def test_reid_compiled_objective_equals_reid_ratio():
     for name, cases in _REID_FAMILY_PARAMS.items():
         for params in cases:
             st = build_state(name, params)
-            ranges, objective, _ = FUNCTIONALS["reid"].optimize(st, False)
+            ranges, objective, *_ = FUNCTIONALS["reid"].optimize(st, False)
             xs = np.array([[rng.uniform(lo - 1.0, hi + 1.0) for lo, hi in ranges]
                            for _ in range(50)])
             batch = objective(xs)
