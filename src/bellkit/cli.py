@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 malformed spec, 3 unknown family/functional,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -36,8 +37,8 @@ _SPEC = record({
     "functional": record({"name": STR, "params": Opt(OBJECT)}),
     "state": Opt(record({"family": STR, "params": Opt(OBJECT)})),
     "settings": Opt(ANY),
-    "search": Opt(record(dict(seed=Opt(INT), restarts=Opt(INT), max_evals_per_restart=Opt(INT),
-                              tolerance=Opt(FLOAT), initial_step=Opt(FLOAT), coplanar=Opt(BOOL)))),
+    "search": Opt(record({f.name: Opt({"int": INT, "float": FLOAT, "bool": BOOL}[f.type])
+                          for f in dataclasses.fields(SearchConfig)})),  # f.type is a string
     "scan": Opt(record({"parameter": STR, "grid": GRID})),
 })
 

@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import CapacityError, DegenerateConditionError, ValidationError
 from .spin import (
-    SpinQuantum, UnitVector, build_spin_rep, outcome_indices, sign_projectors, spin_component,
+    SpinQuantum, UnitVector, _ladder_coefficients, build_spin_rep, outcome_indices,
+    sign_projectors, spin_component,
 )
 from .states import (
     BipartiteState,
@@ -551,32 +552,38 @@ def cfrd_margin(state: BipartiteState, obs_a1, obs_a2, obs_b1, obs_b2) -> Violat
     lhs = expect_product(state, a1 @ a1 + a2 @ a2, b1 @ b1 + b2 @ b2)
     re_part = expect_product(state, a1, b1) + expect_product(state, a2, b2)
     im_part = expect_product(state, a2, b1) - expect_product(state, a1, b2)
-    rhs = re_part ** 2 + im_part ** 2
+    return _cfrd_report(state, lhs, re_part ** 2 + im_part ** 2)
+
+
+def cfrd_spin_margin(state: BipartiteState) -> ViolationReport:
+    """cfrd_margin at (S_x, S_y) on each side: its left side reads the populations, as S_x^2 + S_y^2
+    = s(s+1) - S_z^2, and its right side is (T_xx + T_yy)^2 + (T_yx - T_xy)^2 (spin_moments' T)."""
+    t = spin_correlation_matrix(state)
+    pops = np.abs(state.psi) ** 2 if state.psi is not None else state.rho.diagonal().real
+    q_a, q_b = (s.s * (s.s + 1) - (s.s - np.arange(s.dim)) ** 2 for s in (state.s_a, state.s_b))
+    return _cfrd_report(state, float(q_a @ pops.reshape(state.dims) @ q_b),
+                        float((t[0, 0] + t[1, 1]) ** 2 + (t[1, 0] - t[0, 1]) ** 2))
+
+
+def _cfrd_report(state: BipartiteState, lhs: float, rhs: float) -> ViolationReport:
     margin = lhs - rhs
     return ViolationReport(functional="cfrd", value=margin, bound=0.0, margin=margin,
-                           violation=margin < -VIOLATION_TOL,
-                           state_meta=dict(state.meta),
+                           violation=margin < -VIOLATION_TOL, state_meta=dict(state.meta),
                            extra={"lhs": lhs, "rhs": rhs})
 
 
 def cfrd_weight_problem(s: SpinQuantum):
-    """Search problem of cfrd_margin over the real weights r of the pair state
-    sum_m r_m |s,m>|s,-m>, maximizing -margin with (S_x, S_y) on each side.  Each moment
-    <A (x) B> that cfrd_margin reads is the quadratic form r^T Re(A o B') r / r^T r, B' being
-    B with rows and columns reversed (index m -> -m) and o the entrywise product; the forms
-    are built once and the objective scores a batch of rows at a time."""
+    """Search problem of cfrd_spin_margin over the real weights r of the pair state sum_m r_m
+    |s,m>|s,-m>, maximizing -margin.  Each moment <A (x) B> is r^T Re(A o B') r / r^T r, B' being B
+    at m -> -m and o the entrywise product: (s(s+1) - m^2)^2 on the diagonal for the left side,
+    c^2/2 beside it (c: ladder coefficients) for <S_x S_x + S_y S_y>; <S_y S_x - S_x S_y> is 0."""
     if s.two_s > 20:
         raise CapacityError("weight search supports s <= 10")
-    rep = build_spin_rep(s)
-    d = s.dim
-
-    def form(mat_a, mat_b):
-        return (mat_a * mat_b[::-1, ::-1]).real
-
-    sx, sy = rep.sx, rep.sy
-    # lhs and re_part; im_part = <S_y S_x - S_x S_y> has the form 0, as S_y is imaginary
-    # and S_x real in this basis
-    forms = np.array([form(sx @ sx + sy @ sy, sx @ sx + sy @ sy), form(sx, sx) + form(sy, sy)])
+    if s.two_s < 1:
+        raise ValidationError("weight search requires two_s >= 1")
+    d, coupling = s.dim, _ladder_coefficients(s.two_s) ** 2 / 2.0
+    forms = np.array([np.diag((s.s * (s.s + 1) - (s.s - np.arange(d)) ** 2) ** 2),
+                      np.diag(coupling, 1) + np.diag(coupling, -1)])
 
     def objective(x):
         norm2 = np.sum(x * x, axis=1)
@@ -589,7 +596,7 @@ def cfrd_weight_problem(s: SpinQuantum):
         psi = np.zeros((d, d), dtype=complex)
         psi[np.arange(d), np.arange(d - 1, -1, -1)] = r
         pair = _catalog_state("pure", s, s, psi / np.linalg.norm(psi), "cfrd_pair", two_s=s.two_s)
-        best = cfrd_margin(pair, rep.sx, rep.sy, rep.sx, rep.sy)
+        best = cfrd_spin_margin(pair)
         best.settings = [float(v) for v in r]
         return best
 

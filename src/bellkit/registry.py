@@ -1,13 +1,12 @@
 """The one registry of state families and functionals.
 
-FAMILIES maps each state family to the state class it builds and to the
-ordered, typed parameters of its constructor in `states`, whose name is
-the family name.  FUNCTIONALS maps each functional to the state class
-it reads and to its evaluate, optimize, lhv-bound and scan entries; the
-numerical work lives elsewhere, and every optimize entry is a search
-problem builder of `functionals`.  Entries reach constructors and
-evaluators through module globals at call time, so a function wrapped
-in its module is wrapped here too.
+FAMILIES maps each state family to the state class it builds and to the ordered, typed
+parameters of its constructor in `states`, whose name is the family name.  FUNCTIONALS maps
+each functional to the state class it reads and to its evaluate, optimize, lhv-bound and scan
+entries; the numerical work lives elsewhere (no entry builds a spin matrix: `cfrd` evaluates
+`functionals.cfrd_spin_margin` on the spin moments), and every optimize entry is a search
+problem builder of `functionals`.  Entries reach constructors and evaluators through module
+globals at call time, so a function wrapped in its module is wrapped here too.
 
 A converter checks one JSON value and raises ValidationError naming
 where it sits, so a whole spec is checked before anything is built.
@@ -27,13 +26,13 @@ import numpy as np
 from . import states
 from .errors import CapacityError, UnknownNameError, ValidationError
 from .functionals import (
-    cfrd_margin, cfrd_quadrature_margin, cfrd_weight_problem, cglmp_I, cglmp_functional,
+    cfrd_quadrature_margin, cfrd_spin_margin, cfrd_weight_problem, cglmp_I, cglmp_functional,
     chsh_problem, chsh_value, drummond_margin, generalized_chsh_functional, mabk_value,
     mermin_check, mermin_coplanar_vectors, mermin_problem, reid_problem, reid_ratio,
     tura_problem, tura_value, VIOLATION_TOL,
 )
 from .lhv import cglmp_scenario, enumerate_lhv_bound, symmetric_lhv_min, two_setting_spin_scenario
-from .spin import SpinQuantum, UnitVector, build_spin_rep
+from .spin import SpinQuantum, UnitVector
 from .states import BipartiteState, MultiQubitState, SymmetricState
 
 GRID_CAP = 10 ** 5
@@ -188,11 +187,6 @@ def _mermin(state, s, params):
     return mermin_check(state, a, b, c, **kw).to_dict()
 
 
-def _cfrd(state, settings, params):
-    rep_a, rep_b = build_spin_rep(state.s_a), build_spin_rep(state.s_b)
-    return cfrd_margin(state, rep_a.sx, rep_a.sy, rep_b.sx, rep_b.sy).to_dict()
-
-
 def _cfrd_quadrature(state, settings, params):
     value = cfrd_quadrature_margin(state)
     return {"functional": "cfrd_quadrature", "value": value, "bound": 0.0,
@@ -279,7 +273,7 @@ FUNCTIONALS = {
     "tura": Functional(
         SymmetricState, settings=record(dict.fromkeys(("n0", "n1"), VEC3)),
         evaluate=lambda st, s, p: tura_value(st, *s.values()).to_dict(), optimize=tura_problem),
-    "cfrd": Functional(BipartiteState, evaluate=_cfrd),
+    "cfrd": Functional(BipartiteState, evaluate=lambda st, s, p: cfrd_spin_margin(st).to_dict()),
     "cfrd_quadrature": Functional(BipartiteState, evaluate=_cfrd_quadrature),
     "drummond": Functional(params=record({"J": INT, "theta": FLOAT}), evaluate=_drummond),
     "mabk": Functional(params=record({"n": INT}),

@@ -10,8 +10,8 @@ no gradients are used.
 
 Every objective maps a (k, n) array of points to k values.  A sweep is
 scored in one call with the trials and counts of one point per call:
-about one call per 5.6 evaluations on the CHSH benchmark workload (1 866 calls
-for 10 409 evaluations in one pass at seed 1).
+about one call per 5.6 evaluations on the CHSH benchmark workload (1 863 calls
+for 10 401 evaluations in one pass at seed 1).
 """
 
 from __future__ import annotations

@@ -79,7 +79,7 @@ class UnitVector:
 
 @dataclass(frozen=True)
 class SpinRep:
-    """Dense Hermitian S_x, S_y, S_z for one spin, dimension 2s+1."""
+    """Dense Hermitian S_x, S_y, S_z for one spin, dimension 2s+1: _spin_images of the identity."""
 
     s: SpinQuantum
     sx: np.ndarray
@@ -99,8 +99,7 @@ class SpinRep:
         """(m, V, V^dagger): m = s ... -s in basis order, and the
         eigenvectors V of S_y, columns in ascending eigenvalue order, so
         column k has eigenvalue k - s = -m[k] exactly."""
-        c = _ladder_coefficients(self.s.two_s) / 2.0
-        v = np.linalg.eigh(np.diag(-1j * c, 1) + np.diag(1j * c, -1))[1]
+        v = np.linalg.eigh(self.sy)[1]
         return tuple(map(_frozen, (self.s.s - np.arange(self.dim), v, v.conj().T)))
 
 
@@ -118,10 +117,7 @@ def _ladder_coefficients(two_s: int) -> np.ndarray:
 
 
 def build_spin_rep(s: SpinQuantum) -> SpinRep:
-    """Construct S_x, S_y, S_z from the ladder matrix elements
-    <m+-1|S_+-|m> = sqrt(s(s+1) - m(m+-1)); checked on every call, shared per spin."""
-    if s.two_s < 1:
-        raise ValidationError("build_spin_rep requires two_s >= 1")
+    """S_x, S_y, S_z of spin s as dense matrices; checked on every call, shared per spin."""
     if s.dim > DIM_CAP:
         raise CapacityError(f"dimension {s.dim} exceeds cap {DIM_CAP}")
     return _spin_rep(int(s.two_s))
@@ -129,10 +125,22 @@ def build_spin_rep(s: SpinQuantum) -> SpinRep:
 
 @functools.lru_cache(maxsize=_EIGENBASIS_CACHE)
 def _spin_rep(two_s: int) -> SpinRep:
-    sz = np.diag(two_s / 2.0 - np.arange(two_s + 1)).astype(complex)  # m = s ... -s
-    sp = np.diag(_ladder_coefficients(two_s), 1).astype(complex)
-    sm = sp.conj().T
-    return SpinRep(SpinQuantum(two_s), *map(_frozen, ((sp + sm) / 2.0, (sp - sm) / 2j, sz)))
+    eye = np.eye(two_s + 1, dtype=complex)
+    return SpinRep(SpinQuantum(two_s), *map(_frozen, _spin_images(eye, two_s)))
+
+
+def _spin_images(x: np.ndarray, two_s: int) -> tuple:
+    """(S_x x, S_y x, S_z x), each applied along axis 0 of x (length 2s + 1, m = s ... -s) at
+    O(x.size): S_+ and S_- shift x by one row and scale it by the ladder coefficients, S_z
+    scales row k by m = s - k.  The one definition of the spin operators; refuses two_s < 1."""
+    if two_s < 1:
+        raise ValidationError("spin operators require two_s >= 1")
+    c = _ladder_coefficients(two_s)
+    # S_+ x and S_- x, freed by the rebinding before S_z x: four arrays of x's size, not five
+    s_x, s_y = np.zeros((2,) + x.shape, dtype=complex)
+    s_x[:-1], s_y[1:] = (c * x[1:].T).T, (c * x[:-1].T).T
+    s_x, s_y = (s_x + s_y) / 2.0, (s_x - s_y) / 2j
+    return s_x, s_y, ((two_s / 2.0 - np.arange(two_s + 1)) * x.T).T
 
 
 @dataclass(frozen=True)

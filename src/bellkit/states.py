@@ -18,7 +18,7 @@ from .spin import (
     HermitianObservable,
     SpinQuantum,
     UnitVector,
-    _ladder_coefficients,
+    _spin_images,
     build_spin_rep,
     clebsch_gordan,
     sign_projectors,
@@ -524,31 +524,27 @@ def spin_moments(state) -> tuple[np.ndarray, np.ndarray]:
     (S^A standing for S^A (x) 1) and O = (J_x, J_y, J_z) of a
     SymmetricState, so Re <(u.O)(v.O)> = u^T second v for real u, v.
 
-    A symmetric state is read through its images J_k |psi>, O(N) from
-    the ladder coefficients; a bipartite state through each side's
-    reduced density matrix and the cross block
-    T[i, j] = <S^A_i (x) S^B_j>."""
+    A pure state is read through its images O_k psi (spin._spin_images; S^B along psi's
+    columns) by blocks of rows: mean = Re <psi, O_k psi>, second = Re <O_k psi, O_l psi>.  A
+    mixed one is contracted with each side's dense operators, small as d_A d_B <= 4096."""
     if isinstance(state, SymmetricState):
-        if state.n_atoms < 1:
-            raise ValidationError("spin_moments requires n_atoms >= 1")
-        psi, c = state.amplitudes, _ladder_coefficients(state.n_atoms)
-        raised = np.append(c * psi[1:], 0.0)  # J_+ psi
-        lowered = np.insert(c * psi[:-1], 0, 0.0)  # J_- psi
-        m = state.n_atoms / 2.0 - np.arange(len(psi))
-        images = np.array([(raised + lowered) / 2.0, (raised - lowered) / 2j, m * psi])
-        return (images @ psi.conj()).real, (images.conj() @ images.T).real
-    reps = build_spin_rep(state.s_a), build_spin_rep(state.s_b)
-    ops_a, ops_b = (np.array([r.sx, r.sy, r.sz]) for r in reps)
-    if state.kind == "pure":
-        psi = state.psi
-        cross = np.einsum("iab,jab->ij", psi.conj().T @ ops_a @ psi, ops_b)
+        psi, images = state.amplitudes, _spin_images(state.amplitudes, state.n_atoms)
+    elif state.kind == "pure":
+        psi, two_b = state.psi, state.s_b.two_s
+        images = (*_spin_images(psi, state.s_a.two_s), *(y.T for y in _spin_images(psi.T, two_b)))
     else:
-        rho = state.rho.reshape(*state.dims, *state.dims)
-        cross = np.einsum("iac,jbd,cdab->ij", ops_a, ops_b, rho)
-    (mean_a, aa), (mean_b, bb) = [
-        (np.einsum("iab,ba->i", ops, red).real, np.einsum("iab,jba->ij", ops, ops @ red).real)
-        for ops, red in ((ops_a, state.reduced("A")), (ops_b, state.reduced("B")))]
-    return np.concatenate([mean_a, mean_b]), np.block([[aa, cross.real], [cross.real.T, bb]])
+        ops_a, ops_b = (np.array(_spin_images(np.eye(d), d - 1)) for d in state.dims)
+        cross = np.einsum("iac,jbd,cdab->ij", ops_a, ops_b,
+                          state.rho.reshape(*state.dims, *state.dims)).real
+        (mean_a, aa), (mean_b, bb) = [
+            (np.einsum("iab,ba->i", ops, red).real, np.einsum("iab,jba->ij", ops, ops @ red).real)
+            for ops, red in ((ops_a, state.reduced("A")), (ops_b, state.reduced("B")))]
+        return np.concatenate([mean_a, mean_b]), np.block([[aa, cross], [cross.T, bb]])
+    step, parts = max(1, 2 ** 17 // psi[0].size), []  # rows per block: 2 MB of each image
+    for rows in (slice(lo, lo + step) for lo in range(0, len(psi), step)):  # no full-size copy
+        block = np.reshape([image[rows] for image in images], (len(images), -1))
+        parts.append(((block @ psi[rows].ravel().conj()).real, (block.conj() @ block.T).real))
+    return tuple(sum(part[1:], part[0]) for part in zip(*parts))  # one block: returned as is
 
 
 def spin_correlation_matrix(state: BipartiteState) -> np.ndarray:

@@ -195,6 +195,7 @@ _MERMIN_GEOMETRY = {"state": {"family": "singlet", "params": {"two_s": 2}},
                     "functional": {"name": "mermin"}, "settings": "optimize", "search": {"seed": 1},
                     "scan": {"parameter": "theta_geometry", "grid": [0.1, 0.2]}}
 _CGLMP_TABLES = [[[0.5, 0.0], [0.0, 0.5]]] * 3 + [[[0.6, -0.1], [0.0, 0.5]]]
+_SPIN_ZERO = {"family": "rm_weighted", "params": {"two_s": 0, "r": [1.0]}}  # no spin operators
 
 
 @pytest.mark.parametrize("command, spec, argv, code, message", [
@@ -211,6 +212,12 @@ _CGLMP_TABLES = [[[0.5, 0.0], [0.0, 0.5]]] * 3 + [[[0.6, -0.1], [0.0, 0.5]]]
      [], EXIT_BAD_SPEC, "angle 1e+308 is out of range"),
     ("evaluate", {"functional": {"name": "cglmp_I", "params": {"tables": _CGLMP_TABLES, "d": 2}}},
      [], EXIT_BAD_SPEC, "negative probabilities in table"),
+    *[("evaluate", dict({"state": _SPIN_ZERO, "functional": {"name": name}}, **extra), [],
+       EXIT_BAD_SPEC, "spin operators require two_s >= 1")
+      for name, extra in (("cfrd", {}), ("cfrd_quadrature", {}),
+                          ("mermin", {"settings": {"theta": 0.3}}))],
+    ("optimize", {"functional": {"name": "cfrd_weights", "params": {"two_s": 0}},
+                  "search": {"seed": 1}}, [], EXIT_BAD_SPEC, "weight search requires two_s >= 1"),
 ])
 def test_front_door_refusals(tmp_path, capsys, command, spec, argv, code, message):
     # each exit code comes from the check named in its message, and nothing is written

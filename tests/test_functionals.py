@@ -21,6 +21,7 @@ from bellkit.states import (
 from bellkit.functionals import (
     cfrd_margin,
     cfrd_quadrature_margin,
+    cfrd_spin_margin,
     cglmp_I,
     chsh_value,
     drummond_margin,
@@ -289,6 +290,24 @@ def test_cfrd_equal_weight_diagonal_family():
         st = rm_weighted(SpinQuantum(two_s), r_edge)
         r = cfrd_margin(st, rep.sx, rep.sy, rep.sx, rep.sy)
         assert abs(r.margin - s * s) < 1e-10
+
+
+def test_cfrd_spin_margin_equals_cfrd_margin_on_the_spin_matrices():
+    # the moment form (populations on the left, T on the right) against the dense products
+    rng = np.random.default_rng(31)
+    mix = separable_mixture([(0.4, random_density(3, rng), random_density(2, rng)),
+                             (0.6, random_density(3, rng), random_density(2, rng))])
+    for st in (random_pure_state(SpinQuantum(3), SpinQuantum(6), rng), werner(5, 0.4),
+               werner(2, -1.0), mix):
+        ra, rb = build_spin_rep(st.s_a), build_spin_rep(st.s_b)
+        got = cfrd_spin_margin(st).to_dict()
+        want = cfrd_margin(st, ra.sx, ra.sy, rb.sx, rb.sy).to_dict()
+        assert list(got) == list(want) and list(got["extra"]) == list(want["extra"])
+        for g, w in ((got["margin"], want["margin"]), (got["value"], want["value"]),
+                     *zip(got["extra"].values(), want["extra"].values())):
+            assert type(g) is float
+            assert abs(g - w) <= 1e-12 * max(1.0, abs(w)), (st.meta, g, w)
+        assert type(got["violation"]) is bool and got["violation"] == want["violation"]
 
 
 def test_cfrd_quadrature_positive():

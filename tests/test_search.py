@@ -479,14 +479,21 @@ def test_cfrd_weight_search():
 
 
 def test_cfrd_batched_objective_equals_cfrd_margin():
-    # -margin of cfrd_margin on the pair state sum_m r_m |s,m>|s,-m>, built point by point
+    # -margin of cfrd_margin on the pair state sum_m r_m |s,m>|s,-m>, built point by point,
+    # and the objective of the dense forms the search had before the moment forms
     rng = np.random.default_rng(9)
-    for two_s in range(1, 7):
+    for two_s in range(1, 21):
         s = SpinQuantum(two_s)
         rep, d = build_spin_rep(s), s.dim
         ranges, objective, *_ = cfrd_weight_problem(s)
         assert ranges == [(-1.0, 1.0)] * d
         xs = rng.uniform(-1.0, 1.0, (50, d))
+        sx, sy = rep.sx, rep.sy
+        xy2 = sx @ sx + sy @ sy
+        dense = np.array([(xy2 * xy2[::-1, ::-1]).real,
+                          (sx * sx[::-1, ::-1]).real + (sy * sy[::-1, ::-1]).real])
+        lhs, re_part = np.sum(xs @ dense * xs, axis=-1) / np.sum(xs * xs, axis=1)
+        assert np.allclose(objective(xs), re_part ** 2 - lhs, rtol=1e-12, atol=1e-12), two_s
         for x, got in zip(xs, objective(xs)):
             psi = np.zeros((d, d), dtype=complex)
             psi[np.arange(d), np.arange(d - 1, -1, -1)] = x / np.linalg.norm(x)
@@ -494,6 +501,8 @@ def test_cfrd_batched_objective_equals_cfrd_margin():
                                 rep.sx, rep.sy, rep.sx, rep.sy).margin
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (two_s, x, got, want)
         assert objective(np.zeros((1, d)))[0] == -math.inf
+    with pytest.raises(ValidationError):  # spin 0 is refused by the builder, before any search
+        cfrd_weight_problem(SpinQuantum(0))
 
 
 def test_scan_mermin_rows():

@@ -112,11 +112,36 @@ def test_spin_rep_bit_identical_to_ladder_loop():
         for i in range(1, d):
             sp[i - 1, i] = math.sqrt(s * (s + 1) - m[i] * (m[i] + 1))
         sm = sp.conj().T
+        # the np.diag construction, a second reference beside the loop
+        c = spin._ladder_coefficients(two_s)
+        dense_sp = np.diag(c, 1).astype(complex)
+        dense_sm = dense_sp.conj().T
         rep = build_spin_rep(SpinQuantum(two_s))
-        for got, want in ((rep.sx, (sp + sm) / 2.0), (rep.sy, (sp - sm) / 2j),
-                          (rep.sz, np.diag(m).astype(complex))):
-            assert got.dtype == want.dtype
+        for got, want, dense in (
+                (rep.sx, (sp + sm) / 2.0, (dense_sp + dense_sm) / 2.0),
+                (rep.sy, (sp - sm) / 2j, (dense_sp - dense_sm) / 2j),
+                (rep.sz, np.diag(m).astype(complex), np.diag(m).astype(complex))):
+            assert got.dtype == want.dtype == dense.dtype
             assert np.array_equal(got, want)
+            assert np.array_equal(got, dense)
+        # rotation_basis reads eigh(rep.sy): the same eigenvectors as eigh of the explicit S_y
+        old_v = np.linalg.eigh(np.diag(-1j * (c / 2.0), 1) + np.diag(1j * (c / 2.0), -1))[1]
+        assert np.array_equal(rep.rotation_basis[1], old_v)
+        assert np.array_equal(rep.rotation_basis[2], old_v.conj().T)
+
+
+def test_spin_images_against_dense_spin_matrices():
+    rng = np.random.default_rng(17)
+    for two_s in (*range(1, 9), 20, 101):
+        rep, d = build_spin_rep(SpinQuantum(two_s)), two_s + 1
+        for shape in ((d,), (d, 3), (d, 4, 2)):
+            x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            for got, mat in zip(spin._spin_images(x, two_s), (rep.sx, rep.sy, rep.sz)):
+                assert got.shape == x.shape
+                want = np.tensordot(mat, x, 1)  # mat applied along axis 0
+                assert np.max(np.abs(got - want)) <= 1e-13 * two_s / 2.0, (two_s, shape)
+    with pytest.raises(ValidationError):
+        spin._spin_images(np.ones(1, dtype=complex), 0)
 
 
 def test_dimension_cap():

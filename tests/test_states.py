@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from bellkit import states
 from bellkit.errors import CapacityError, DegenerateConditionError, ValidationError
 from bellkit.registry import build_state
 from bellkit.spin import SpinQuantum, UnitVector, build_spin_rep, spin_component
@@ -527,12 +528,14 @@ def _dense_moments(rho, ops):
 
 def test_spin_moments_bipartite_against_kron():
     sa, sb = SpinQuantum(2), SpinQuantum(3)  # s_A = 1, s_B = 3/2
-    ra, rb = build_spin_rep(sa), build_spin_rep(sb)
     mix = separable_mixture([(0.3, random_density(3, RNG), random_density(4, RNG)),
                              (0.7, random_density(3, RNG), random_density(4, RNG))])
-    for st in (random_pure_state(sa, sb, RNG), mix):
-        ops = ([np.kron(o, np.eye(4)) for o in (ra.sx, ra.sy, ra.sz)]
-               + [np.kron(np.eye(3), o) for o in (rb.sx, rb.sy, rb.sz)])
+    pure = [random_pure_state(SpinQuantum(a), SpinQuantum(b), RNG)  # unequal spins, either larger
+            for a, b in ((1, 7), (6, 1), (4, 9))]
+    for st in [random_pure_state(sa, sb, RNG), mix, *pure]:
+        (ra, rb), (d_a, d_b) = (build_spin_rep(st.s_a), build_spin_rep(st.s_b)), st.dims
+        ops = ([np.kron(o, np.eye(d_b)) for o in (ra.sx, ra.sy, ra.sz)]
+               + [np.kron(np.eye(d_a), o) for o in (rb.sx, rb.sy, rb.sz)])
         mean, second = spin_moments(st)
         want_mean, want_second = _dense_moments(st.density(), ops)
         assert np.max(np.abs(mean - want_mean)) < 1e-12
@@ -546,6 +549,18 @@ def test_spin_moments_bipartite_against_kron():
         want_mean, want_second = _dense_moments(st.rho, ops)
         assert np.max(np.abs(mean - want_mean)) < 1e-12
         assert np.max(np.abs(second - want_second)) < 1e-12
+
+
+def test_spin_moments_of_a_pure_state_read_no_spin_rep_and_no_reduced_state(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a pure state's moments come from its images")
+
+    st = random_pure_state(SpinQuantum(3), SpinQuantum(4), RNG)
+    want = spin_moments(st)
+    monkeypatch.setattr(states, "build_spin_rep", refuse)
+    monkeypatch.setattr(states.BipartiteState, "reduced", refuse)
+    got = spin_moments(st)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_spin_moments_symmetric_against_collective_rep():
