@@ -190,7 +190,8 @@ class ViolationReport:
 
 
 class SearchProblem(NamedTuple):
-    """The ranges of random starts, objective, report, restart 0's start and stopping value."""
+    """The ranges of random starts, objective, report, restart 0's start and stopping value;
+    `search.multi_start_max` takes a start that already reaches a finite stop with no search."""
     ranges: list
     objective: Callable
     report: Callable
@@ -650,11 +651,61 @@ def tura_value(state: SymmetricState, n0: UnitVector, n1: UnitVector) -> Violati
                "commutator_norm": abs(commutator)})
 
 
+def _sphere_dual(form: np.ndarray, coplanar: bool):
+    """(g, y): the Lagrangian dual bound g <= min v^T form v over v = (y, 1), y of unit 3-blocks
+    (x and z when coplanar), and y attaining it to 1e-9 max(1, |g|), so a global minimum (Shor
+    1987).  With A = the direction block less diag(mu_i 1) > 0, f the rest of the last column and
+    c its corner, g(mu) = sum mu + c - f^T A^-1 f at y = -A^-1 f.  Safeguarded Newton on mu from
+    a Gershgorin start; None where a block of y vanishes (f = 0) or Newton stalls."""
+    keep = [i for i in range(len(form) - 1) if not coplanar or i % 3 != 1]
+    a0, f, c = form[np.ix_(keep, keep)], form[keep, -1], form[-1, -1]
+    blocks = np.repeat(np.eye(len(form) // 3), 2 if coplanar else 3, axis=1)  # (k, n) selectors
+
+    def dual(mu):  # (g, y, A^-1) at mu; g = -inf where A is not positive definite
+        a = a0 - np.diag(mu @ blocks)
+        try:
+            np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            return -math.inf, None, None
+        inv = np.linalg.inv(a)
+        return mu.sum() + c - f @ inv @ f, -(inv @ f), inv
+
+    diag = np.diag(a0)  # mu below the Gershgorin bound on lambda_min by |f|: A > |f| 1, |y_i| < 1
+    gershgorin = np.min(diag + np.abs(diag) - np.abs(a0).sum(axis=1))
+    mu = np.full(len(blocks), gershgorin - np.linalg.norm(f) - 1.0)
+    g, y, inv = dual(mu)
+    for _ in range(50):
+        ys = blocks * y  # row i: y_i in place
+        norms = np.sqrt(np.sum(ys * ys, axis=1))
+        if not norms.all():
+            return None
+        unit = y / (norms @ blocks)
+        if unit @ (a0 @ unit + 2.0 * f) + c - g <= 1e-9 * max(1.0, abs(g)):
+            return g, unit
+        # Newton on the gradient 1 - |y_i|^2, and where |y_i| < 1 on 1/|y_i| - 1 (Hebden)
+        grad = (1.0 - norms * norms) * np.minimum(1.0, 2.0 * norms * norms / (1.0 + norms))
+        step, t = np.linalg.solve(2.0 * ys @ inv @ ys.T, grad), 1.0
+        while (trial := dual(mu + t * step))[0] < g:  # keep A > 0 and g rising
+            t /= 2.0
+            if t < 1e-4:
+                return None
+        mu, (g, y, inv) = mu + t * step, trial
+    return None
+
+
 def tura_problem(state: SymmetricState, coplanar: bool):
-    """Search problem of tura_value over (n0, n1): -W."""
+    """Search problem of tura_value over (n0, n1): -W.  Where the Lagrangian dual certifies its
+    point (`_sphere_dual`), restart 0 starts there and `stop` is -g less the certificate's
+    tolerance, so `multi_start_max` runs no search; elsewhere no start is set and no stop."""
     forms = _tura_forms(state.n_atoms, *spin_moments(state))
-    return _over_vectors(2, coplanar, lambda d: -_form_values(forms, d)[0],
-                         lambda *vs: tura_value(state, *vs))
+    problem = _over_vectors(2, coplanar, lambda d: -_form_values(forms, d)[0],
+                            lambda *vs: tura_value(state, *vs))
+    if (dual := _sphere_dual(forms[0], coplanar)) is None:
+        return problem
+    g, u = dual[0], dual[1].reshape(2, -1).T  # rows x, (y,) z of (n0, n1)
+    start = (np.arctan2(u[0], u[1]) if coplanar else np.column_stack(
+        [np.arctan2(np.hypot(u[0], u[1]), u[2]), np.arctan2(u[1], u[0])]).ravel())
+    return problem._replace(start=start, stop=-g - 1e-9 * max(1.0, abs(g)))
 
 
 def cglmp_I(tables, d: int) -> float:

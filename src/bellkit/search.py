@@ -102,8 +102,13 @@ def pattern_search_max(objective, x0: np.ndarray, step: float,
 def multi_start_max(problem, config: SearchConfig):
     """(best x, best value) of pattern searches of `problem.objective` from random starts in
     `problem.ranges` (restart 0 at `problem.start` if set) until the best reaches `problem.stop`.
+    A start that already reaches a finite stop is returned with no search.
     Restart k draws from the substream keyed (seed, k), so no schedule changes the result."""
     ranges, objective, _, start, stop = problem
+    if start is not None and stop < math.inf:
+        f = objective(start[None])[0]
+        if f >= stop:
+            return start, f
     best_x, best_f = None, -math.inf
     for k in range(config.restarts):
         rng = np.random.default_rng([config.seed, k])

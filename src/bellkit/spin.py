@@ -59,7 +59,7 @@ class UnitVector:
     @classmethod
     def from_xyz(cls, x, y, z) -> "UnitVector":
         """Normalize (x, y, z) and return the unit vector."""
-        n = math.sqrt(x * x + y * y + z * z)
+        n = math.hypot(x, y, z)  # no overflow or underflow in the squares
         if n < 1e-300:
             raise ValidationError("cannot normalize the zero vector")
         return cls(x / n, y / n, z / n)

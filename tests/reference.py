@@ -2,9 +2,11 @@
 the observables they are compared on."""
 
 import itertools
+import math
 
 import numpy as np
 
+from bellkit.search import pattern_search_max
 from bellkit.spin import HermitianObservable, SpinQuantum, build_spin_rep
 from bellkit.states import spin_moments
 
@@ -104,6 +106,24 @@ def pattern_search_max_one_at_a_time(f, x0, step, tolerance, max_evals):
         if not improved:
             step /= 2.0
     return x, fx, evals
+
+
+def multi_start_max_searching_every_start(problem, config):
+    """bellkit.search.multi_start_max with restart 0 always searched, also where its start
+    already reaches the stop: the pattern search from each start, best kept, stopped at
+    `problem.stop`."""
+    best_x, best_f = None, -math.inf
+    for k in range(config.restarts):
+        rng = np.random.default_rng([config.seed, k])
+        x0 = (problem.start if k == 0 and problem.start is not None
+              else np.array([rng.uniform(lo, hi) for lo, hi in problem.ranges]))
+        x, f, _ = pattern_search_max(problem.objective, x0, config.initial_step,
+                                     config.tolerance, config.max_evals_per_restart)
+        if f > best_f:
+            best_x, best_f = x, f
+        if best_f >= problem.stop:
+            break
+    return best_x, best_f
 
 
 def mermin_abc_objective(state):

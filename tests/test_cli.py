@@ -102,6 +102,18 @@ def test_evaluate_chsh_report(tmp_path):
                                          sort_keys=True, indent=2) + "\n"
 
 
+def test_evaluate_normalizes_huge_and_tiny_directions(tmp_path):
+    # |n|^2 overflows for n0 and underflows for n1; both still normalize
+    spec = {"state": {"family": "dicke", "params": {"n": 4, "k": 1}},
+            "functional": {"name": "tura"},
+            "settings": {"n0": [1e308, 1e308, 0], "n1": [0, 0, 1e-200]}}
+    out = tmp_path / "report.json"
+    assert run(["evaluate", "--spec", write_spec(tmp_path, "s.json", spec),
+                "--out", str(out)]) == EXIT_OK
+    rep = json.loads(out.read_text())["report"]
+    assert rep["settings"] == [[0.707106781187, 0.707106781187, 0.0], [0.0, 0.0, 1.0]]
+
+
 def test_optimize_reproducibility_loop(tmp_path):
     spec = {"state": {"family": "maximally_entangled", "params": {"n": 1}},
             "functional": {"name": "chsh"},

@@ -7,15 +7,16 @@ import pytest
 from bellkit import cli, search
 from bellkit.errors import CapacityError, DegenerateConditionError, ValidationError
 from bellkit.functionals import (
-    SearchProblem, _over_vectors, cfrd_margin, cfrd_weight_problem, chsh_problem, chsh_value,
-    generalized_chsh_functional, mermin_problem, reid_ratio,
+    SearchProblem, _form_values, _over_vectors, _sphere_dual, _tura_forms, cfrd_margin,
+    cfrd_weight_problem, chsh_problem, chsh_value, generalized_chsh_functional, mermin_problem,
+    reid_ratio, tura_problem, tura_value,
 )
 from bellkit.registry import FAMILIES, FUNCTIONALS, build_state
 from bellkit.spin import SpinQuantum, UnitVector, build_spin_rep, spin_component
 from bellkit.states import (
     BipartiteState, SymmetricState, angular_momentum_eigenstate, conditioned_state, dicke,
     maximally_entangled, random_pure_state, relative_phase, rm_weighted, separable_mixture,
-    singlet, werner,
+    singlet, spin_moments, werner,
 )
 from bellkit.search import (
     ScanSpec,
@@ -28,7 +29,8 @@ from bellkit.search import (
     scan_parameter,
 )
 from reference import (
-    dense_reid_ratio_maximally_entangled, mermin_abc_objective, pattern_search_max_one_at_a_time,
+    dense_reid_ratio_maximally_entangled, mermin_abc_objective, multi_start_max_searching_every_start,
+    pattern_search_max_one_at_a_time,
 )
 
 
@@ -779,6 +781,109 @@ def test_optimize_settings_refuses_a_state_of_the_wrong_class():
         optimize_settings(dicke(4, 2), "chsh", SearchConfig(seed=1, restarts=1))
     with pytest.raises(ValidationError):
         optimize_settings(singlet(1), "tura", SearchConfig(seed=1, restarts=1))
+
+
+def _tura_dual(st, coplanar):
+    """(forms, _sphere_dual of the W form) of a symmetric state."""
+    forms = _tura_forms(st.n_atoms, *spin_moments(st))
+    return forms, _sphere_dual(forms[0], coplanar)
+
+
+def test_tura_dual_never_exceeds_w():
+    # weak duality: the bound g is below W at every setting of the mode, here 2000 random
+    # ones per state, and W at the dual's unit blocks is g to the certificate's tolerance
+    rng = np.random.default_rng(31)
+    certified = 0
+    for n in (2, 3, 4, 5, 7, 10, 16, 25, 39):
+        st = _random_symmetric(n, rng)
+        for coplanar in (False, True):
+            forms, dual = _tura_dual(st, coplanar)
+            if dual is None:
+                continue
+            certified += 1
+            g, y = dual
+            settings = rng.normal(size=(2000, 2, 3)) * ([1.0, 0.0, 1.0] if coplanar else 1.0)
+            w = _form_values(forms, settings / np.linalg.norm(settings, axis=-1, keepdims=True))[0]
+            assert g <= w.min(), (n, coplanar, g, w.min())
+            if coplanar:
+                y = np.insert(y.reshape(2, 2), 1, 0.0, axis=1)
+            assert np.allclose(np.linalg.norm(y.reshape(2, 3), axis=1), 1.0, rtol=0, atol=1e-12)
+            w_at_y = _form_values(forms, y.reshape(1, 2, 3))[0, 0]
+            assert g <= w_at_y <= g + 1e-9 * max(1.0, abs(g)), (n, coplanar, g, w_at_y)
+    assert certified >= 16
+
+
+def test_tura_dual_report_never_above_the_search():
+    # 40 random symmetric states, N = 2..39, both modes: where the dual certifies its
+    # point, the search ends there; its report is tura_value at its settings and is g to
+    # 1e-9, and is never above today's search (the same problem without start and stop)
+    rng = np.random.default_rng(40)
+    certified = 0
+    for i in range(40):
+        st = _random_symmetric(2 + i % 38, rng)
+        for coplanar in (False, True):
+            config = SearchConfig(seed=3, restarts=3, coplanar=coplanar)
+            problem = tura_problem(st, coplanar)
+            x, _ = multi_start_max(problem._replace(start=None, stop=math.inf), config)
+            searched = problem.report(x).value
+            rep = optimize_settings(st, "tura", config)
+            _, dual = _tura_dual(st, coplanar)
+            if dual is None:
+                assert problem.start is None and problem.stop == math.inf
+                assert rep.value == searched
+                continue
+            certified += 1
+            g, tol = dual[0], 1e-9 * max(1.0, abs(dual[0]))
+            assert rep.value == tura_value(st, *(UnitVector(*v) for v in rep.settings)).value
+            assert abs(rep.value - g) <= tol, (i, coplanar, rep.value, g)
+            assert rep.value <= searched + tol, (i, coplanar, rep.value, searched)
+            assert g <= searched, (i, coplanar, g, searched)
+    assert certified >= 76
+
+
+def test_tura_dicke_half_filling_falls_back_to_the_search():
+    # Dicke k = N/2 has <J> = 0, so f = 0 and the dual bound is loose: no start, no stop, and
+    # the search's report is the one before the dual existed (recorded values below)
+    for n in (4, 10, 50, 64):
+        for coplanar in (False, True):
+            problem = tura_problem(dicke(n, n // 2), coplanar)
+            assert problem.start is None and problem.stop == math.inf, (n, coplanar)
+    rep = optimize_settings(dicke(10, 5), "tura",
+                            SearchConfig(seed=3, restarts=2, max_evals_per_restart=300))
+    assert rep.value == 0.005042685854700579
+    assert rep.settings == [
+        [0.014644807543621147, -0.008396675659406369, 0.9998575025721821],
+        [-0.0086321645390722, 0.004923829830124233, 0.9999506195983752]]
+
+
+def test_certified_tura_search_runs_no_pattern_search(monkeypatch):
+    evals = _count_pattern_searches(monkeypatch)
+    rng = np.random.default_rng(12)
+    for st, coplanar in ((dicke(57, 28), True), (dicke(60, 32), True),
+                         (_random_symmetric(9, rng), False), (_random_symmetric(9, rng), True)):
+        problem = tura_problem(st, coplanar)
+        assert problem.start is not None, (st.n_atoms, coplanar)
+        rep = optimize_settings(st, "tura", SearchConfig(seed=1, restarts=4, coplanar=coplanar))
+        assert rep.value == -problem.objective(problem.start[None])[0]
+    assert evals == []
+
+
+def test_searches_without_a_certified_start_are_unchanged():
+    # chsh sets no start and reid no finite stop, so their reports are those of the restart
+    # loop that searches every start
+    rng = np.random.default_rng(77)
+    states = [werner(1, -0.8), werner(2, -0.5), maximally_entangled(2), relative_phase(3, 0.7),
+              random_pure_state(SpinQuantum(2), SpinQuantum(2), rng)]
+    for name in ("chsh", "reid"):
+        for st in states:
+            for coplanar in (False, True):
+                config = SearchConfig(seed=3, restarts=2, max_evals_per_restart=200,
+                                      coplanar=coplanar)
+                problem = FUNCTIONALS[name].optimize(st, coplanar)
+                want = problem.report(multi_start_max_searching_every_start(problem, config)[0])
+                got = optimize_settings(st, name, config)
+                assert got.value == want.value and got.settings == want.settings, (name, st.meta)
+                assert got.extra == want.extra
 
 
 def _random_factor(d, pure, rng):

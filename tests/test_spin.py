@@ -158,6 +158,10 @@ def test_unit_vector():
         UnitVector(1.0, 1.0, 0.0)
     with pytest.raises(ValidationError):
         UnitVector.from_xyz(0.0, 0.0, 0.0)
+    # components whose squares overflow or underflow still normalize
+    assert UnitVector.from_xyz(1e308, 1e308, 0.0).as_array() == pytest.approx(
+        [math.sqrt(0.5), math.sqrt(0.5), 0.0], abs=1e-15)
+    assert UnitVector.from_xyz(1e-200, 0.0, 0.0) == UnitVector(1.0, 0.0, 0.0)
 
 
 def test_spin_component_axis_and_spectrum():
