@@ -640,69 +640,80 @@ def tura_value(state: SymmetricState, n0: UnitVector, n1: UnitVector) -> Violati
     (N+1)-dimensional symmetric basis; W < 0 means violation.
     """
     mean, second = spin_moments(state)
-    u0, u1 = n0.as_array(), n1.as_array()
-    w, s0, s00, s11, s01 = map(float, _form_values(_tura_forms(state.n_atoms, mean, second),
-                                                   np.array([u0, u1])))
-    commutator = float(np.cross(u0, u1) @ mean)  # <[J.n0, J.n1]> / i
+    return _tura_report(state, mean, _tura_forms(state.n_atoms, mean, second), n0, n1)
+
+
+def _tura_report(state: SymmetricState, mean, forms, n0: UnitVector, n1: UnitVector):
+    u0, u1 = n0.as_array(), n1.as_array()  # tura_value at (n0, n1) from <J> and _tura_forms
+    w, s0, s00, s11, s01 = map(float, _form_values(forms, np.array([u0, u1])))
     return ViolationReport(
         functional="tura", value=w, bound=0.0, margin=w, violation=w < -VIOLATION_TOL,
         settings=[_vec(n0), _vec(n1)], state_meta=dict(state.meta),
-        extra={"S0": s0, "S00": s00, "S11": s11, "S01": s01,
-               "commutator_norm": abs(commutator)})
+        extra={"S0": s0, "S00": s00, "S11": s11, "S01": s01,  # |<[J.n0, J.n1]>| = |<J>.(n0 x n1)|
+               "commutator_norm": abs(float(np.cross(u0, u1) @ mean))})
 
 
-def _sphere_dual(form: np.ndarray, coplanar: bool):
-    """(g, y): the Lagrangian dual bound g <= min v^T form v over v = (y, 1), y of unit 3-blocks
-    (x and z when coplanar), and y attaining it to 1e-9 max(1, |g|), so a global minimum (Shor
-    1987).  With A = the direction block less diag(mu_i 1) > 0, f the rest of the last column and
-    c its corner, g(mu) = sum mu + c - f^T A^-1 f at y = -A^-1 f.  Safeguarded Newton on mu from
-    a Gershgorin start; None where a block of y vanishes (f = 0) or Newton stalls."""
-    keep = [i for i in range(len(form) - 1) if not coplanar or i % 3 != 1]
-    a0, f, c = form[np.ix_(keep, keep)], form[keep, -1], form[-1, -1]
-    blocks = np.repeat(np.eye(len(form) // 3), 2 if coplanar else 3, axis=1)  # (k, n) selectors
+def _modal_dual(n: int, mean: np.ndarray, second: np.ndarray, coplanar: bool):
+    """(g less 1e-14 max(1, |g|), rows n0, n1): the Lagrangian dual bound g <= W at unit n0, n1
+    (x, z when coplanar) and a point attaining it to 1e-9 max(1, |g|), a global minimum (Shor 1987);
+    None where a block of y vanishes or Newton stalls.  In the eigenbasis Q of 2 second, A = W's
+    blocks [[a, b], [b, a]] per mode (b = a - N/2) less diag(mu) > 0, f = 2 Q^T <J> on n0, y =
+    -A^-1 f and g(mu) = sum mu + N - sum f^2 (a - mu_1) / det, by safeguarded Newton on mu from a
+    Gershgorin start; f = 0 in closed form."""
+    axes = [0, 2] if coplanar else [0, 1, 2]
+    s2 = 2.0 * second[np.ix_(axes, axes)]
+    sigma, q = np.linalg.eigh(s2)
+    if not (f := 2.0 * (q.T @ mean[axes])).any():  # W = 2N + p^T (s2 - N/2) p over |n0 + n1| <= 2:
+        g, low = 2.0 * n + 4.0 * min(0.0, float(sigma[0]) - 0.5 * n), q[:, 0]  # n0 = n1 = low where
+        low = low * np.sign(low[np.argmax(np.abs(low))])  # its b < 0, else -n1; largest entry > 0
+        return g - 1e-14 * max(1.0, abs(g)), np.array([low, low if g < 2.0 * n else -low])
+    modes = [(a, a - 0.5 * n, fk) for a, fk in zip(sigma.tolist(), f.tolist())]
 
-    def dual(mu):  # (g, y, A^-1) at mu; g = -inf where A is not positive definite
-        a = a0 - np.diag(mu @ blocks)
-        try:
-            np.linalg.cholesky(a)
-        except np.linalg.LinAlgError:
-            return -math.inf, None, None
-        inv = np.linalg.inv(a)
-        return mu.sum() + c - f @ inv @ f, -(inv @ f), inv
+    def dual(mu0, mu1):  # (g, y per mode, H / 2) at mu; g = -inf where A is not positive definite
+        g, y, h00, h01, h11 = mu0 + mu1 + n, [], 0.0, 0.0, 0.0
+        for a, b, fk in modes:
+            if (p := a - mu0) <= 0.0 or (det := p * (r := a - mu1) - b * b) <= 0.0:
+                return -math.inf, None, None
+            y.append((y0 := -fk * r / det, y1 := fk * b / det))
+            g, h00, h01 = g + fk * y0, h00 + y0 * y0 * r / det, h01 - y0 * y1 * b / det
+            h11 += y1 * y1 * p / det
+        return g, y, (h00, h01, h11)
 
-    diag = np.diag(a0)  # mu below the Gershgorin bound on lambda_min by |f|: A > |f| 1, |y_i| < 1
-    gershgorin = np.min(diag + np.abs(diag) - np.abs(a0).sum(axis=1))
-    mu = np.full(len(blocks), gershgorin - np.linalg.norm(f) - 1.0)
-    g, y, inv = dual(mu)
+    # mu below the Gershgorin bound on A's lambda_min (n0 and n1 rows alike) by |f|: |y_i| < 1
+    rows = np.abs(s2).sum(axis=1) + np.abs(s2 - 0.5 * n * np.eye(len(axes))).sum(axis=1)
+    mu0 = mu1 = float(np.min(2.0 * np.diag(s2) - rows) - np.linalg.norm(f) - 1.0)
+    g, y, h = dual(mu0, mu1)
     for _ in range(50):
-        ys = blocks * y  # row i: y_i in place
-        norms = np.sqrt(np.sum(ys * ys, axis=1))
-        if not norms.all():
+        if not ((r0 := math.hypot(*(v[0] for v in y))) and (r1 := math.hypot(*(v[1] for v in y)))):
             return None
-        unit = y / (norms @ blocks)
-        if unit @ (a0 @ unit + 2.0 * f) + c - g <= 1e-9 * max(1.0, abs(g)):
-            return g, unit
+        w = n + sum(a * ((y0 / r0) ** 2 + (y1 / r1) ** 2) + 2.0 * y0 / r0 * (b * y1 / r1 + fk)
+                    for (a, b, fk), (y0, y1) in zip(modes, y))
+        if w - g <= 1e-9 * max(1.0, abs(g)):
+            return g - 1e-14 * max(1.0, abs(g)), np.array(y).T / [[r0], [r1]] @ q.T
         # Newton on the gradient 1 - |y_i|^2, and where |y_i| < 1 on 1/|y_i| - 1 (Hebden)
-        grad = (1.0 - norms * norms) * np.minimum(1.0, 2.0 * norms * norms / (1.0 + norms))
-        step, t = np.linalg.solve(2.0 * ys @ inv @ ys.T, grad), 1.0
-        while (trial := dual(mu + t * step))[0] < g:  # keep A > 0 and g rising
+        d0, d1 = ((1.0 - r * r) * min(1.0, 2.0 * r * r / (1.0 + r)) for r in (r0, r1))
+        if (det := 2.0 * (h[0] * h[2] - h[1] * h[1])) <= 0.0:
+            return None  # H is singular in floats: y_i ~ 1e-100 squares to below 1e-200
+        s0, s1, t = (h[2] * d0 - h[1] * d1) / det, (h[0] * d1 - h[1] * d0) / det, 1.0
+        while (trial := dual(mu0 + t * s0, mu1 + t * s1))[0] < g:  # keep A > 0 and g rising
             t /= 2.0
             if t < 1e-4:
                 return None
-        mu, (g, y, inv) = mu + t * step, trial
+        mu0, mu1, (g, y, h) = mu0 + t * s0, mu1 + t * s1, trial
     return None
 
 
 def tura_problem(state: SymmetricState, coplanar: bool):
-    """Search problem of tura_value over (n0, n1): -W.  Where the Lagrangian dual certifies its
-    point (`_sphere_dual`), restart 0 starts there and `stop` is -g less the certificate's
-    tolerance, so `multi_start_max` runs no search; elsewhere no start is set and no stop."""
-    forms = _tura_forms(state.n_atoms, *spin_moments(state))
+    """Search problem of tura_value over (n0, n1): -W.  Where `_modal_dual` gives a certified point
+    or, at <J> = 0, the closed form, restart 0 starts there and `stop` is -g less the
+    certificate's tolerance, so `multi_start_max` runs no search; elsewhere no start and no stop."""
+    mean, second = spin_moments(state)
+    forms = _tura_forms(state.n_atoms, mean, second)
     problem = _over_vectors(2, coplanar, lambda d: -_form_values(forms, d)[0],
-                            lambda *vs: tura_value(state, *vs))
-    if (dual := _sphere_dual(forms[0], coplanar)) is None:
+                            lambda *vs: _tura_report(state, mean, forms, *vs))
+    if (dual := _modal_dual(state.n_atoms, mean, second, coplanar)) is None:
         return problem
-    g, u = dual[0], dual[1].reshape(2, -1).T  # rows x, (y,) z of (n0, n1)
+    g, u = dual[0], dual[1].T  # rows x, (y,) z of (n0, n1)
     start = (np.arctan2(u[0], u[1]) if coplanar else np.column_stack(
         [np.arctan2(np.hypot(u[0], u[1]), u[2]), np.arctan2(u[1], u[0])]).ravel())
     return problem._replace(start=start, stop=-g - 1e-9 * max(1.0, abs(g)))

@@ -7,7 +7,7 @@ import pytest
 from bellkit import cli, search
 from bellkit.errors import CapacityError, DegenerateConditionError, ValidationError
 from bellkit.functionals import (
-    SearchProblem, _form_values, _over_vectors, _sphere_dual, _tura_forms, cfrd_margin,
+    SearchProblem, _form_values, _modal_dual, _over_vectors, _tura_forms, cfrd_margin,
     cfrd_weight_problem, chsh_problem, chsh_value, generalized_chsh_functional, mermin_problem,
     reid_ratio, tura_problem, tura_value,
 )
@@ -784,9 +784,9 @@ def test_optimize_settings_refuses_a_state_of_the_wrong_class():
 
 
 def _tura_dual(st, coplanar):
-    """(forms, _sphere_dual of the W form) of a symmetric state."""
-    forms = _tura_forms(st.n_atoms, *spin_moments(st))
-    return forms, _sphere_dual(forms[0], coplanar)
+    """(forms, _modal_dual) of a symmetric state."""
+    mean, second = spin_moments(st)
+    return _tura_forms(st.n_atoms, mean, second), _modal_dual(st.n_atoms, mean, second, coplanar)
 
 
 def test_tura_dual_never_exceeds_w():
@@ -841,19 +841,88 @@ def test_tura_dual_report_never_above_the_search():
     assert certified >= 76
 
 
-def test_tura_dicke_half_filling_falls_back_to_the_search():
-    # Dicke k = N/2 has <J> = 0, so f = 0 and the dual bound is loose: no start, no stop, and
-    # the search's report is the one before the dual existed (recorded values below)
+def test_tura_w_form_is_modal():
+    # the layout _modal_dual reads: direction block [[2 second, 2 second - N/2], [2 second - N/2,
+    # 2 second]], linear part (2 <J>, 0) and corner N, on random states
+    rng = np.random.default_rng(28)
+    for n in (2, 5, 12, 33):
+        st = _random_symmetric(n, rng)
+        mean, second = spin_moments(st)
+        w = _tura_forms(n, mean, second)[0]
+        cross = 2.0 * second - 0.5 * n * np.eye(3)
+        assert np.allclose(w[:6, :6], np.block([[2.0 * second, cross], [cross, 2.0 * second]]),
+                           rtol=0, atol=1e-12 * n * n)
+        assert np.allclose(w[:6, 6], np.r_[2.0 * mean, np.zeros(3)], rtol=0, atol=1e-12 * n)
+        assert np.array_equal(w[6, :6], w[:6, 6]) and w[6, 6] == n
+
+
+def test_tura_dicke_half_filling_in_closed_form(monkeypatch):
+    # Dicke k = N/2 has <J> = 0, where W = 2N + p^T (2 second - N/2) p with p = n0 + n1: its
+    # minimum 0 at n0 = n1 = z, in closed form with no pattern search
+    evals = _count_pattern_searches(monkeypatch)
     for n in (4, 10, 50, 64):
         for coplanar in (False, True):
             problem = tura_problem(dicke(n, n // 2), coplanar)
-            assert problem.start is None and problem.stop == math.inf, (n, coplanar)
-    rep = optimize_settings(dicke(10, 5), "tura",
-                            SearchConfig(seed=3, restarts=2, max_evals_per_restart=300))
-    assert rep.value == 0.005042685854700579
-    assert rep.settings == [
-        [0.014644807543621147, -0.008396675659406369, 0.9998575025721821],
-        [-0.0086321645390722, 0.004923829830124233, 0.9999506195983752]]
+            assert problem.start is not None and problem.stop < math.inf, (n, coplanar)
+            rep = optimize_settings(dicke(n, n // 2), "tura",
+                                    SearchConfig(seed=3, restarts=2, coplanar=coplanar))
+            assert rep.value == 0.0, (n, coplanar, rep.value)
+            assert rep.settings[0] == rep.settings[1] and rep.settings[0] in ([0.0, 0.0, 1.0],
+                                                                             [0.0, 0.0, -1.0])
+    assert evals == []
+
+
+def _symmetric_from(n, amplitudes):
+    amp = np.zeros(n + 1, dtype=complex)
+    for k, a in amplitudes.items():
+        amp[k] = a
+    return SymmetricState(n, amp / np.linalg.norm(amp))
+
+
+def test_tura_zero_mean_states_in_closed_form():
+    # <J> = 0 on non-Dicke states, one per branch: (|2> + |4>)/sqrt2 at N = 6, whose lowest mode
+    # has b = 2 sigma - N/2 = -1 < 0, so min W = 2N - 4 = 8 at n0 = n1; (|2> - |7>)/sqrt2 at N = 9,
+    # b_min = 8 > 0, so min W = 2N at n0 = -n1; (|3> - |6>)/sqrt2 at N = 9 sits at b_min = 0,
+    # W = 2N.  Against 20000 random settings, a 16-restart search and, coplanar, a 721^2 grid
+    rng = np.random.default_rng(6)
+    grid = np.linspace(0.0, 2.0 * math.pi, 721)
+    grid = np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2)
+    cases = ((_symmetric_from(6, {2: 1.0, 4: 1.0}), 8.0, 1.0),
+             (_symmetric_from(9, {2: 1.0, 7: -1.0}), 18.0, -1.0),
+             (_symmetric_from(9, {3: 1.0, 6: -1.0}), 18.0, None))
+    for st, want, sign in cases:
+        mean, second = spin_moments(st)
+        assert not mean.any()
+        forms = _tura_forms(st.n_atoms, mean, second)
+        for coplanar in (False, True):
+            config = SearchConfig(seed=3, restarts=2, coplanar=coplanar)
+            problem = tura_problem(st, coplanar)
+            assert problem.start is not None
+            rep = optimize_settings(st, "tura", config)
+            tol = 1e-12 * want
+            assert abs(rep.value - want) <= tol, (st.n_atoms, coplanar, rep.value)
+            if sign is not None:
+                assert np.allclose(rep.settings[1], sign * np.array(rep.settings[0]), rtol=0,
+                                   atol=1e-15)
+            _, f = multi_start_max(problem._replace(start=None, stop=math.inf),
+                                   dataclasses.replace(config, restarts=16))
+            assert rep.value <= -f + tol, (st.n_atoms, coplanar, rep.value, -f)
+            settings = rng.normal(size=(20000, 2, 3)) * ([1.0, 0.0, 1.0] if coplanar else 1.0)
+            settings /= np.linalg.norm(settings, axis=-1, keepdims=True)
+            assert rep.value <= _form_values(forms, settings)[0].min() + tol
+            if coplanar:
+                assert rep.value <= -problem.objective(grid).max() + tol
+
+
+def test_tura_dual_gives_up_where_y_underflows():
+    # <J> of 1e-20 to 1e-300 is not 0, so no closed form; y ~ |<J>| makes the Newton matrix
+    # singular in floats from about 1e-100 on, and the dual gives up to the search there too
+    for eps in (1e-20, 1e-100, 1e-300):
+        st = _symmetric_from(4, {2: 1.0, 1: eps})
+        assert spin_moments(st)[0].any()
+        for coplanar in (False, True):
+            problem = tura_problem(st, coplanar)
+            assert problem.start is None and problem.stop == math.inf, (eps, coplanar)
 
 
 def test_certified_tura_search_runs_no_pattern_search(monkeypatch):
