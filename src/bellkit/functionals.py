@@ -659,14 +659,21 @@ def _modal_dual(n: int, mean: np.ndarray, second: np.ndarray, coplanar: bool):
     None where a block of y vanishes or Newton stalls.  In the eigenbasis Q of 2 second, A = W's
     blocks [[a, b], [b, a]] per mode (b = a - N/2) less diag(mu) > 0, f = 2 Q^T <J> on n0, y =
     -A^-1 f and g(mu) = sum mu + N - sum f^2 (a - mu_1) / det, by safeguarded Newton on mu from a
-    Gershgorin start; f = 0 in closed form."""
+    Gershgorin start.  In closed form where f = 0, and where f is so small that the f = 0 point
+    is certified: the linear term 2 f.(Q^T n0) moves W by at most 2|f| at unit n0, so g0 - 2|f|
+    bounds W and the f = 0 point is within 4|f| of it."""
     axes = [0, 2] if coplanar else [0, 1, 2]
     s2 = 2.0 * second[np.ix_(axes, axes)]
     sigma, q = np.linalg.eigh(s2)
-    if not (f := 2.0 * (q.T @ mean[axes])).any():  # W = 2N + p^T (s2 - N/2) p over |n0 + n1| <= 2:
-        g, low = 2.0 * n + 4.0 * min(0.0, float(sigma[0]) - 0.5 * n), q[:, 0]  # n0 = n1 = low where
-        low = low * np.sign(low[np.argmax(np.abs(low))])  # its b < 0, else -n1; largest entry > 0
-        return g - 1e-14 * max(1.0, abs(g)), np.array([low, low if g < 2.0 * n else -low])
+    f = 2.0 * (q.T @ mean[axes])
+    # at f = 0, W = 2N + p^T (s2 - N/2) p over |n0 + n1| <= 2: its minimum g0 is at n0 = n1 = low
+    # where low's b < 0, else at n0 = -n1 = low; low's largest entry is positive
+    f_norm = math.hypot(*f.tolist())
+    g0 = 2.0 * n + 4.0 * min(0.0, float(sigma[0]) - 0.5 * n)
+    g = g0 - 2.0 * f_norm
+    if 4.0 * f_norm <= (1e-9 - 1e-14) * max(1.0, abs(g)):  # the gap and the shave below
+        low = q[:, 0] * np.sign(q[np.argmax(np.abs(q[:, 0])), 0])
+        return g - 1e-14 * max(1.0, abs(g)), np.array([low, low if g0 < 2.0 * n else -low])
     modes = [(a, a - 0.5 * n, fk) for a, fk in zip(sigma.tolist(), f.tolist())]
 
     def dual(mu0, mu1):  # (g, y per mode, H / 2) at mu; g = -inf where A is not positive definite
@@ -705,7 +712,7 @@ def _modal_dual(n: int, mean: np.ndarray, second: np.ndarray, coplanar: bool):
 
 def tura_problem(state: SymmetricState, coplanar: bool):
     """Search problem of tura_value over (n0, n1): -W.  Where `_modal_dual` gives a certified point
-    or, at <J> = 0, the closed form, restart 0 starts there and `stop` is -g less the
+    or, at <J> = 0 or nearly, the closed form, restart 0 starts there and `stop` is -g less the
     certificate's tolerance, so `multi_start_max` runs no search; elsewhere no start and no stop."""
     mean, second = spin_moments(state)
     forms = _tura_forms(state.n_atoms, mean, second)

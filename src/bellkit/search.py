@@ -10,8 +10,8 @@ no gradients are used.
 
 Every objective maps a (k, n) array of points to k values.  A sweep is
 scored in one call with the trials and counts of one point per call:
-about one call per 5.6 evaluations on the CHSH benchmark workload (1 863 calls
-for 10 401 evaluations in one pass at seed 1).
+about one call per 5.1 evaluations on the CHSH benchmark workload (1 152 calls
+for 5 903 evaluations in one pass at seed 1).
 """
 
 from __future__ import annotations
@@ -59,9 +59,11 @@ class SearchConfig:
 
 
 def pattern_search_max(objective, x0: np.ndarray, step: float,
-                       tolerance: float, max_evals: int):
+                       tolerance: float, max_evals: int, stop: float = math.inf):
     """Coordinate-wise pattern search (step halving) maximizing
-    `objective`; returns (best x, best value, evaluation count).
+    `objective`; returns (best x, best value, evaluation count).  The
+    walk ends at once where x0 reaches `stop`, and else at the first
+    accepted trial that does; a NaN value never ends it.
 
     A sweep tries x + step e_i and then x - step e_i for i = 0, 1, ...,
     moves to each trial that beats the current value as soon as it is
@@ -80,11 +82,11 @@ def pattern_search_max(objective, x0: np.ndarray, step: float,
     # rows +e_0, -e_0, +e_1, ...; -0.0 elsewhere, since x + -0.0 is x to the bit
     unit = np.full((n_moves, len(x)), -0.0)
     unit[np.arange(n_moves), np.repeat(np.arange(len(x)), 2)] = np.tile([1.0, -1.0], len(x))
-    while step > tolerance and evals < max_evals:
+    while step > tolerance and evals < max_evals and not fx >= stop:
         moves = unit * step
         improved = False
         j = 0
-        while j < n_moves and evals < max_evals:
+        while j < n_moves and evals < max_evals and not fx >= stop:
             k = min(n_moves - j, max_evals - evals)
             values = objective(x + moves[j:j + k])
             better = values > fx
@@ -101,8 +103,9 @@ def pattern_search_max(objective, x0: np.ndarray, step: float,
 
 def multi_start_max(problem, config: SearchConfig):
     """(best x, best value) of pattern searches of `problem.objective` from random starts in
-    `problem.ranges` (restart 0 at `problem.start` if set) until the best reaches `problem.stop`.
-    A start that already reaches a finite stop is returned with no search.
+    `problem.ranges` (restart 0 at `problem.start` if set) until the best reaches `problem.stop`;
+    each search ends at the first trial that reaches it.  A start that already reaches a finite
+    stop is returned with no search.
     Restart k draws from the substream keyed (seed, k), so no schedule changes the result."""
     ranges, objective, _, start, stop = problem
     if start is not None and stop < math.inf:
@@ -113,8 +116,8 @@ def multi_start_max(problem, config: SearchConfig):
     for k in range(config.restarts):
         rng = np.random.default_rng([config.seed, k])
         x0 = np.array([rng.uniform(lo, hi) for lo, hi in ranges]) if k or start is None else start
-        x, f, _ = pattern_search_max(objective, x0, config.initial_step,
-                                     config.tolerance, config.max_evals_per_restart)
+        x, f, _ = pattern_search_max(objective, x0, config.initial_step, config.tolerance,
+                                     config.max_evals_per_restart, stop)
         if f > best_f:
             best_x, best_f = x, f
         if best_f >= stop:

@@ -82,13 +82,15 @@ def dense_reid_ratio_maximally_entangled(n, angles, zero_policy="plus"):
     return num / ((np.trace(plus[theta_star]).real + np.trace(plus[phi]).real) / (n + 1))
 
 
-def pattern_search_max_one_at_a_time(f, x0, step, tolerance, max_evals):
+def pattern_search_max_one_at_a_time(f, x0, step, tolerance, max_evals, stop=math.inf):
     """bellkit.search.pattern_search_max as it was before sweeps were
-    scored in batches: one call of the point objective f per trial."""
+    scored in batches: one call of the point objective f per trial,
+    returning at once where x0 reaches `stop` and else after the first
+    accepted trial that does."""
     x = np.array(x0, dtype=float)
     fx = f(x)
     evals = 1
-    while step > tolerance and evals < max_evals:
+    while step > tolerance and evals < max_evals and not fx >= stop:
         improved = False
         for i in range(len(x)):
             for sgn in (1.0, -1.0):
@@ -99,6 +101,8 @@ def pattern_search_max_one_at_a_time(f, x0, step, tolerance, max_evals):
                 if ft > fx:
                     x, fx = trial, ft
                     improved = True
+                    if fx >= stop:
+                        return x, fx, evals
                 if evals >= max_evals:
                     break
             if evals >= max_evals:
@@ -110,15 +114,15 @@ def pattern_search_max_one_at_a_time(f, x0, step, tolerance, max_evals):
 
 def multi_start_max_searching_every_start(problem, config):
     """bellkit.search.multi_start_max with restart 0 always searched, also where its start
-    already reaches the stop: the pattern search from each start, best kept, stopped at
-    `problem.stop`."""
+    already reaches the stop: the pattern search from each start, ended at `problem.stop`, best
+    kept, stopped at `problem.stop`."""
     best_x, best_f = None, -math.inf
     for k in range(config.restarts):
         rng = np.random.default_rng([config.seed, k])
         x0 = (problem.start if k == 0 and problem.start is not None
               else np.array([rng.uniform(lo, hi) for lo, hi in problem.ranges]))
-        x, f, _ = pattern_search_max(problem.objective, x0, config.initial_step,
-                                     config.tolerance, config.max_evals_per_restart)
+        x, f, _ = pattern_search_max(problem.objective, x0, config.initial_step, config.tolerance,
+                                     config.max_evals_per_restart, problem.stop)
         if f > best_f:
             best_x, best_f = x, f
         if best_f >= problem.stop:

@@ -76,31 +76,60 @@ _POINT_OBJECTIVES = [
 
 def test_batched_search_equals_one_at_a_time_reference():
     # on a row-wise objective the batched sweep walks the trials of the
-    # one-at-a-time search: same x, value and count, bit for bit
+    # one-at-a-time search: same x, value and count, bit for bit, with no stop and with a
+    # stop reached at x0, reached mid-walk or never reached
     rng = np.random.default_rng(31)
+    stopped_early = 0
     for f in _POINT_OBJECTIVES:
         for n in (1, 8):
             for max_evals in (1, 2, 17, 40, 5000):
                 x0 = rng.uniform(-2.0, 2.0, n)
                 x0[-1] = -0.0  # a signed zero that only a move may change
-                batches = []
+                f0 = f(x0)
+                full = pattern_search_max_one_at_a_time(f, x0, 0.5, 1e-8, max_evals)
+                for stop in (math.inf, f0, 0.5 * (f0 + full[1]), full[1] + 1.0):
+                    batches = []
 
-                def batched(points):
-                    batches.append(len(points))
-                    return np.array([f(p) for p in points])
+                    def batched(points):
+                        batches.append(len(points))
+                        return np.array([f(p) for p in points])
 
-                want = pattern_search_max_one_at_a_time(f, x0, 0.5, 1e-8, max_evals)
-                got = pattern_search_max(batched, x0, 0.5, 1e-8, max_evals)
-                assert got[0].tobytes() == want[0].tobytes(), (n, max_evals, got[0], want[0])
-                assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
-                assert got[2] == want[2] <= max_evals
-                assert batches[0] == 1 and max(batches) <= min(2 * n, max(max_evals - 1, 1))
+                    want = pattern_search_max_one_at_a_time(f, x0, 0.5, 1e-8, max_evals, stop)
+                    got = pattern_search_max(batched, x0, 0.5, 1e-8, max_evals, stop)
+                    assert got[0].tobytes() == want[0].tobytes(), (n, max_evals, stop, got[0],
+                                                                   want[0])
+                    assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+                    assert got[2] == want[2] <= max_evals
+                    assert batches[0] == 1 and max(batches) <= min(2 * n, max(max_evals - 1, 1))
+                    if stop <= f0:
+                        assert got[2] == 1 and got[0].tobytes() == x0.tobytes()
+                    elif stop > full[1]:
+                        assert got[2] == full[2] and got[1] == full[1]
+                    else:
+                        assert got[1] >= stop and got[2] <= full[2]
+                        stopped_early += got[2] < full[2]
+    assert stopped_early >= 10
     # a start scored -inf, and an objective that is -inf everywhere
     for f in (_POINT_OBJECTIVES[2], lambda x: -math.inf):
         x0 = np.full(3, 0.5)
         want = pattern_search_max_one_at_a_time(f, x0, 0.5, 1e-8, 300)
         got = pattern_search_max(lambda p: np.array([f(r) for r in p]), x0, 0.5, 1e-8, 300)
         assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1] and got[2] == want[2]
+    # NaN never reaches a stop: a start scored NaN, which no trial beats, walks as with no stop
+    # whatever the stop, and so do NaN trials beside finite ones below a stop never reached
+    for f, stops in ((lambda x: math.nan if x[0] > 0.2 else 1.0, (2.0, -math.inf, math.nan)),
+                     (lambda x: math.nan if x[0] > 0.7 else math.cos(float(np.sum(x))),
+                      (2.0, math.nan))):
+        x0 = np.full(3, 0.5)
+        full = pattern_search_max(lambda p: np.array([f(r) for r in p]), x0, 0.5, 1e-8, 300)
+        assert full[2] > 100
+        for stop in stops:
+            want = pattern_search_max_one_at_a_time(f, x0, 0.5, 1e-8, 300, stop)
+            got = pattern_search_max(lambda p: np.array([f(r) for r in p]), x0, 0.5, 1e-8, 300,
+                                     stop)
+            for run in (want, got):
+                assert run[0].tobytes() == full[0].tobytes() and run[2] == full[2], stop
+                assert np.float64(run[1]).tobytes() == np.float64(full[1]).tobytes()
 
 
 def test_chsh_singlet_to_tsirelson():
@@ -267,6 +296,13 @@ def test_chsh_restarts_stop_at_the_ceiling(monkeypatch):
     assert len(evals) == 1
     sigma = np.linalg.svd(_dense_correlation_matrix(maximally_entangled(2)), compute_uv=False)
     assert abs(abs(rep.value) - 2.0 * math.hypot(sigma[0], sigma[1])) <= 1e-9
+    # the restart itself ends at its first trial that reaches the stop, within the slack of
+    # the ceiling, in fewer evaluations than the same walk with no stop
+    problem = chsh_problem(maximally_entangled(2), False)
+    _, f = multi_start_max(problem, SearchConfig(seed=5, restarts=8))
+    multi_start_max(problem._replace(stop=math.inf), SearchConfig(seed=5, restarts=1))
+    assert evals[1] < evals[2], evals
+    assert problem.stop <= f <= _chsh_ceiling(problem, maximally_entangled(2))[0] + 1e-12
     # a restart stopped by its evaluation cap falls short of the ceiling, so the next one runs
     evals.clear()
     optimize_settings(maximally_entangled(1), "chsh",
@@ -914,15 +950,27 @@ def test_tura_zero_mean_states_in_closed_form():
                 assert rep.value <= -problem.objective(grid).max() + tol
 
 
-def test_tura_dual_gives_up_where_y_underflows():
-    # <J> of 1e-20 to 1e-300 is not 0, so no closed form; y ~ |<J>| makes the Newton matrix
-    # singular in floats from about 1e-100 on, and the dual gives up to the search there too
+def test_tura_closed_form_where_the_mean_is_tiny(monkeypatch):
+    # <J> of 1e-20 to 1e-300 is not 0, but W moves from its <J> = 0 form by at most 4|<J>| at
+    # unit n0, inside the certificate: the closed form's point and its bound less that, with no
+    # pattern search, and never above the search's W (1.98e-7 in 3-D, at seed 1)
+    evals = _count_pattern_searches(monkeypatch)
     for eps in (1e-20, 1e-100, 1e-300):
         st = _symmetric_from(4, {2: 1.0, 1: eps})
-        assert spin_moments(st)[0].any()
+        mean, second = spin_moments(st)
+        assert mean.any()
         for coplanar in (False, True):
             problem = tura_problem(st, coplanar)
-            assert problem.start is None and problem.stop == math.inf, (eps, coplanar)
+            assert problem.start is not None and problem.stop < math.inf, (eps, coplanar)
+            config = SearchConfig(seed=1, restarts=2, coplanar=coplanar)
+            rep = optimize_settings(st, "tura", config)
+            assert rep.value == 0.0 and rep.settings[0] == rep.settings[1], (eps, coplanar)
+            assert evals == []
+            _, f = multi_start_max(problem._replace(start=None, stop=math.inf), config)
+            assert rep.value <= -f, (eps, coplanar, rep.value, -f)
+            evals.clear()
+            g = _modal_dual(4, mean, second, coplanar)[0]
+            assert g <= rep.value <= g + 1e-9 * max(1.0, abs(g))
 
 
 def test_certified_tura_search_runs_no_pattern_search(monkeypatch):
@@ -939,7 +987,7 @@ def test_certified_tura_search_runs_no_pattern_search(monkeypatch):
 
 def test_searches_without_a_certified_start_are_unchanged():
     # chsh sets no start and reid no finite stop, so their reports are those of the restart
-    # loop that searches every start
+    # loop that searches every start, each walk ended at the stop as in multi_start_max
     rng = np.random.default_rng(77)
     states = [werner(1, -0.8), werner(2, -0.5), maximally_entangled(2), relative_phase(3, 0.7),
               random_pure_state(SpinQuantum(2), SpinQuantum(2), rng)]
